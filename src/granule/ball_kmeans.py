@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .metrics import DistanceFn, euclidean
+from .metrics import DistanceFn, Kind, euclidean, row_distances
 
 __all__ = [
     "Dataset",
@@ -142,8 +142,9 @@ class Clustering:
 class _Counter:
     """Distance engine: one code path for every sigma evaluation, with counting.
 
-    All point-to-center distances flow through ``rows`` with points as matrix
-    rows, so the accelerated and naive algorithms see bit-identical values.
+    All point-to-center and center-pair distances flow through ``rows``
+    with points as matrix rows, so the accelerated and naive algorithms see
+    bit-identical values.
     """
 
     def __init__(self, fn: DistanceFn):
@@ -152,21 +153,19 @@ class _Counter:
 
     def rows(self, m: np.ndarray, v: np.ndarray) -> np.ndarray:
         self.count += m.shape[0]
-        return _raw_rows(self.fn, m, v)
-
-    def one(self, a: np.ndarray, b: np.ndarray) -> float:
-        self.count += 1
-        return float(self.fn.eval(a, b))
+        return row_distances(self.fn, m, v)
 
     def paired(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         self.count += a.shape[0]
         return np.array([float(self.fn.eval(a[i], b[i])) for i in range(a.shape[0])])
 
 
-def _raw_rows(fn: DistanceFn, m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    if fn.rows is not None:
-        return fn.rows(m, v)
-    return np.array([float(fn.eval(row, v)) for row in m])
+def _require_metric(fn: DistanceFn) -> None:
+    if fn.declared_kind not in (Kind.METRIC, Kind.PSEUDOMETRIC):
+        raise ConfigError(
+            "the ball bounds need a symmetric distance with the triangle inequality; "
+            f"{fn.name} is declared {fn.declared_kind.value} (lloyd_run accepts it)"
+        )
 
 
 def compute_center(ds: Dataset, members: Sequence[int]) -> np.ndarray:
@@ -185,7 +184,7 @@ def compute_radius(
     if mem.size == 0:
         raise ValueError("cannot take the radius of an empty member set")
     fn = distance if distance is not None else euclidean()
-    return float(_raw_rows(fn, ds.points[mem], np.asarray(center, dtype=float)).max())
+    return float(row_distances(fn, ds.points[mem], np.asarray(center, dtype=float)).max())
 
 
 def neighbors(
@@ -228,20 +227,16 @@ def annular_regions(
     ``sorted_neighbor_dists`` the ascending center distances of the k'
     neighbors.  Returns (boundaries, labels): boundaries are the half center
     distances; labels give 0 for the stable region and m in 1..k' for the mth
-    annulus (b_m, b_{m+1}], the last one extending to the cluster radius.
-    Lower bounds are strict, upper bounds inclusive.
+    annulus (b_m, b_{m+1}], the last one extending to the cluster radius (0
+    beyond it).  Lower bounds are strict, upper bounds inclusive.
     """
     nd = np.asarray(sorted_neighbor_dists, dtype=float)
     if nd.size == 0:
         raise ValueError("annular regions need at least one neighbor")
     bounds = nd / 2.0
     d = np.asarray(member_dists, dtype=float)
-    labels = np.zeros(d.shape[0], dtype=int)
-    kprime = nd.size
-    for m in range(1, kprime + 1):
-        lo = bounds[m - 1]
-        hi = bounds[m] if m < kprime else radius
-        labels[(d > lo) & (d <= hi)] = m
+    labels = bounds.searchsorted(d, side="left")  # count of bounds strictly below d
+    labels[(labels == nd.size) & (d > radius)] = 0
     return bounds, labels
 
 
@@ -253,6 +248,7 @@ def prune_neighbor_check(
     Uses last iteration's center distance and the two center shifts:
     prev >= 2 r_i + delta_i + delta_j rules the pair out without computing the
     current center distance.  Never prunes on the first iteration (no history).
+    Applies elementwise to arrays.
     """
     return prev_center_dist >= 2.0 * r_i + delta_i + delta_j
 
@@ -308,18 +304,33 @@ def _assignments_from_sets(sets: Sequence[np.ndarray], n: int) -> np.ndarray:
     return assign
 
 
-def _centers_of(x: np.ndarray, assign: np.ndarray, k: int) -> np.ndarray:
-    return np.stack([x[np.flatnonzero(assign == i)].mean(axis=0) for i in range(k)])
+def _groups(labels: np.ndarray, k: int) -> tuple[np.ndarray, list]:
+    """Group indices by label: group i is ``order[bounds[i]:bounds[i + 1]]``, ascending."""
+    order = np.argsort(labels.astype(np.min_scalar_type(k)), kind="stable")  # radix sort
+    bounds = [0] + np.cumsum(np.bincount(labels, minlength=k)).tolist()
+    return order, bounds
 
 
-def _repair_empty(
-    x: np.ndarray,
-    assign: np.ndarray,
-    centers: np.ndarray,
-    k: int,
-    donor_dists,
-    stats: RunStats,
-) -> int:
+def _centers_of(x: np.ndarray, assign: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, list]:
+    """Member means of the k clusters, plus the member grouping of ``_groups``."""
+    order, bounds = _groups(assign, k)
+    xs = np.take(x, order, axis=0)
+    segments = zip(bounds, bounds[1:])
+    centers = np.stack([xs[a:b].sum(axis=0) / (b - a) for a, b in segments])  # = mean, bit for bit
+    return centers, order, bounds
+
+
+def _own_distances(x: np.ndarray, centers: np.ndarray, order, bounds, counter) -> np.ndarray:
+    """Each point's distance to its own center, one row-kernel call per cluster."""
+    xs = np.take(x, order, axis=0)
+    d_own = np.empty(x.shape[0])
+    d_own[order] = np.concatenate(
+        [counter.rows(xs[bounds[i] : bounds[i + 1]], c) for i, c in enumerate(centers)]
+    )
+    return d_own
+
+
+def _repair_empty(assign: np.ndarray, k: int, donor_dists, stats: RunStats) -> int:
     """Refill emptied clusters with the farthest point of the currently largest one.
 
     ``donor_dists(members, cluster)`` must return that cluster's member
@@ -358,82 +369,109 @@ def reassign(
     array and the move count.
     """
     fn = distance if distance is not None else euclidean()
+    _require_metric(fn)
     counter = _Counter(fn)
     k = centers.shape[0]
-    d_own = np.empty(ds.n)
-    for i in range(k):
-        mem = np.flatnonzero(assign == i)
-        d_own[mem] = counter.rows(ds.points[mem], centers[i])
-    dmat = np.full((k, k), np.nan)
-    for i in range(k):
-        for j in range(i + 1, k):
-            dmat[i, j] = dmat[j, i] = counter.one(centers[i], centers[j])
-    new_assign, moved, _ = _bounded_pass(
-        ds.points, centers, radii, assign, d_own, dmat, counter, None
+    groups = _groups(assign, k)
+    d_own = _own_distances(ds.points, centers, *groups, counter)
+    dmat, _, _ = _center_pairs(centers, radii, _pair_tables(k), None, None, counter)
+    new_assign, moved, _, _ = _annulus_pass(
+        ds.points, centers, radii, assign, groups, d_own, dmat, counter
     )
     if repair_empty:
-        moved += _repair_empty(
-            ds.points,
-            new_assign,
-            centers,
-            k,
-            lambda mem, c: counter.rows(ds.points[mem], centers[c]),
-            RunStats(),
-        )
+        donor = lambda mem, c: counter.rows(ds.points[mem], centers[c])
+        moved += _repair_empty(new_assign, k, donor, RunStats())
     return new_assign, moved
 
 
-def _bounded_pass(
+def _pair_tables(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index tables over (k, k): lower and upper cluster index of each pair, and i < j."""
+    ids = np.arange(k)
+    return np.minimum.outer(ids, ids), np.maximum.outer(ids, ids), ids[:, None] < ids
+
+
+def _center_pairs(
+    centers: np.ndarray,
+    radii: np.ndarray,
+    tables: tuple[np.ndarray, np.ndarray, np.ndarray],
+    deltas: Optional[np.ndarray],
+    lb: Optional[np.ndarray],
+    counter: _Counter,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Center distances over the cluster pairs, skipping the pairs pruning rules out.
+
+    ``lb`` holds last iteration's lower bounds on the pair distances and
+    ``deltas`` the center shifts (both None on the first iteration).  A pair
+    pruned in both directions is not computed; its bound shrinks by the two
+    shifts.  Every other i<j pair is computed, one row-kernel call per i.
+    Returns (dmat, new bounds, fired); dmat is nan where no distance was
+    computed and fired[i, j] says the pruning test ruled j out for i.
+    """
+    lo, hi, upper = tables
+    k = centers.shape[0]
+    if deltas is None:
+        fired = skip = np.zeros((k, k), dtype=bool)
+    else:
+        dlo, dhi = deltas[lo], deltas[hi]  # (2r + d_lo) + d_hi: one float sum per pair
+        fired = prune_neighbor_check(lb, radii[:, None], dlo, dhi)
+        skip = fired & fired.T
+    ti, tj = np.nonzero(upper & ~skip)
+    cuts = [0] + np.cumsum(np.bincount(ti, minlength=k)).tolist()
+    segments = zip(range(k), cuts, cuts[1:])
+    parts = [counter.rows(centers[tj[a:b]], centers[i]) for i, a, b in segments if b > a]
+    d = np.concatenate([np.empty(0)] + parts)
+    dmat = np.full((k, k), np.nan)
+    dmat[ti, tj] = d
+    dmat[tj, ti] = d
+    newlb = dmat if deltas is None else np.where(skip, lb - dlo - dhi, dmat)
+    return dmat, newlb, fired
+
+
+def _annulus_pass(
     x: np.ndarray,
     centers: np.ndarray,
     radii: np.ndarray,
     assign: np.ndarray,
+    groups: tuple[np.ndarray, list],
     d_own: np.ndarray,
     dmat: np.ndarray,
     counter: _Counter,
-    stats: Optional[RunStats],
-) -> tuple[np.ndarray, int, list]:
-    """Shared annulus-bounded reassignment; dmat holds center distances (nan = non-pair)."""
-    k = centers.shape[0]
+) -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
+    """Annulus-bounded reassignment; dmat holds center distances (nan = not computed).
+
+    ``groups`` is the member grouping of ``assign`` (see ``_groups``).
+    Returns (new assignments, moves, stable-point mask, neighbor matrix).
+    For each neighbor rank r of a cluster, one row-kernel call covers the
+    open points whose annulus reaches r; candidates are then compared in
+    cluster-id order, so exact ties go to the lowest id.
+    """
+    order, bounds = groups
+    near = dmat < 2.0 * radii[:, None]
+    half = np.where(near, dmat, np.inf).min(axis=1) / 2.0
+    stable = d_own <= half.take(assign)
+    unstable = ~stable
     new_assign = assign.copy()
     moved = 0
-    structure = []  # per cluster: (members, stable_mask, sorted neighbor ids, bounds)
-    for i in range(k):
-        mem = np.flatnonzero(assign == i)
-        dd = d_own[mem]
-        nbr = [
-            j
-            for j in range(k)
-            if j != i and not np.isnan(dmat[i, j]) and dmat[i, j] < 2.0 * radii[i]
-        ]
-        if not nbr:
-            if stats is not None:
-                stats.neighbor_free_stable_clusters += 1
-            structure.append((mem, np.ones(mem.size, dtype=bool), [], None))
-            continue
-        nbr.sort(key=lambda j: (dmat[i, j], j))
-        bounds = np.array([dmat[i, j] for j in nbr]) / 2.0
-        stable_mask = dd <= bounds[0]
-        structure.append((mem, stable_mask, nbr, bounds))
-        kprime = len(nbr)
-        for m in range(1, kprime + 1):
-            lo = bounds[m - 1]
-            hi = bounds[m] if m < kprime else radii[i]
-            mask = (dd > lo) & (dd <= hi)
-            if not mask.any():
-                continue
-            pts = mem[mask]
-            cand = np.sort(np.array(nbr[:m], dtype=int))  # id order for tie-break
-            block = np.stack(
-                [counter.rows(x[pts], centers[c]) for c in cand], axis=1
+    for i in np.bincount(assign[unstable], minlength=centers.shape[0]).nonzero()[0].tolist():
+        mem = order[bounds[i] : bounds[i + 1]]
+        pts = np.compress(unstable.take(mem), mem)
+        dd = d_own.take(pts)
+        ids = near[i].nonzero()[0]
+        dist = dmat[i].take(ids)
+        rank = np.argsort(dist, kind="stable")
+        _, labels = annular_regions(dd, dist[rank], radii[i])
+        xp = np.take(x, pts, axis=0)
+        block = np.full((ids.size, pts.size), np.inf)  # rows in cluster-id order
+        for r in range(labels.max()):
+            reach = labels > r
+            block[rank[r], reach] = counter.rows(
+                np.compress(reach, xp, axis=0), centers[ids[rank[r]]]
             )
-            best = block.min(axis=1)
-            movers = best < dd[mask]  # strict improvement only
-            if movers.any():
-                targets = cand[np.argmin(block[movers], axis=1)]
-                new_assign[pts[movers]] = targets
-                moved += int(movers.sum())
-    return new_assign, moved, structure
+        movers = np.flatnonzero(block.min(axis=0) < dd)  # strict improvement only
+        if movers.size:
+            new_assign[pts.take(movers)] = ids[np.argmin(block[:, movers], axis=0)]
+            moved += movers.size
+    return new_assign, moved, stable, near
 
 
 def run(
@@ -450,81 +488,44 @@ def run(
     ``instrument`` re-checks every stable point, move target and fired pruning
     against uncounted brute-force distances, accumulating violation counters.
     """
+    fn = cfg.distance
+    _require_metric(fn)
     x = ds.points
     n = ds.n
     k = cfg.k
-    fn = cfg.distance
     counter = _Counter(fn)
     assign = _assignments_from_sets(init_clusters(ds, cfg), n)
     stats = RunStats()
     history = [assign.copy()]
+    tables = _pair_tables(k)
     prev_centers = None
-    lb = None  # lower bounds on previous-iteration center distances
+    lb = None  # lower bounds on previous-iteration center distances, per pair
     converged = False
-    centers = np.empty((k, ds.d))
-    radii = np.empty(k)
     for iteration in range(1, cfg.max_iter + 1):
-        centers = _centers_of(x, assign, k)
+        centers, order, bounds = _centers_of(x, assign, k)
         deltas = None if prev_centers is None else counter.paired(centers, prev_centers)
-        d_own = np.empty(n)
-        for i in range(k):
-            mem = np.flatnonzero(assign == i)
-            dd = counter.rows(x[mem], centers[i])
-            d_own[mem] = dd
-            radii[i] = dd.max()
+        d_own = _own_distances(x, centers, order, bounds, counter)
+        radii = np.maximum.reduceat(d_own[order], bounds[:-1])
+        dmat, lb, fired = _center_pairs(centers, radii, tables, deltas, lb, counter)
+        stats.prunings_fired += np.count_nonzero(fired)
 
-        dmat = np.full((k, k), np.nan)
-        newlb = np.zeros((k, k))
-        fired_pairs = []
-        for i in range(k):
-            for j in range(i + 1, k):
-                if deltas is None or lb is None:
-                    p_ij = p_ji = False
-                else:
-                    p_ij = prune_neighbor_check(lb[i, j], radii[i], deltas[i], deltas[j])
-                    p_ji = prune_neighbor_check(lb[i, j], radii[j], deltas[i], deltas[j])
-                    if p_ij:
-                        stats.prunings_fired += 1
-                        fired_pairs.append((i, j))
-                    if p_ji:
-                        stats.prunings_fired += 1
-                        fired_pairs.append((j, i))
-                if p_ij and p_ji:
-                    newlb[i, j] = newlb[j, i] = lb[i, j] - deltas[i] - deltas[j]
-                else:
-                    d = counter.one(centers[i], centers[j])
-                    dmat[i, j] = dmat[j, i] = d
-                    newlb[i, j] = newlb[j, i] = d
-        lb = newlb
-
-        new_assign, moved, structure = _bounded_pass(
-            x, centers, radii, assign, d_own, dmat, counter, stats
+        new_assign, moved, stable, near = _annulus_pass(
+            x, centers, radii, assign, (order, bounds), d_own, dmat, counter
         )
+        stats.neighbor_free_stable_clusters += np.count_nonzero(~near.any(axis=1))
 
         if instrument:
-            dfull = np.stack([_raw_rows(fn, x, centers[j]) for j in range(k)], axis=1)
+            dfull = np.stack([row_distances(fn, x, c) for c in centers], axis=1)
             best_full = dfull.min(axis=1)
-            for i, (mem, stable_mask, nbr, _) in enumerate(structure):
-                stable_pts = mem[stable_mask]
-                stats.stable_violations += int(
-                    (dfull[stable_pts, i] != best_full[stable_pts]).sum()
-                )
-                movers = mem[new_assign[mem] != i]
-                for p in movers:
-                    if int(new_assign[p]) not in nbr:
-                        stats.move_target_violations += 1
-            for (i, j) in fired_pairs:
-                if float(fn.eval(centers[i], centers[j])) < 2.0 * radii[i]:
-                    stats.pruning_violations += 1
+            st = np.flatnonzero(stable)
+            stats.stable_violations += int((dfull[st, assign[st]] != best_full[st]).sum())
+            mv = np.flatnonzero(new_assign != assign)
+            stats.move_target_violations += int((~near[assign[mv], new_assign[mv]]).sum())
+            dc = np.stack([row_distances(fn, centers, c) for c in centers], axis=1)
+            stats.pruning_violations += np.count_nonzero(fired & (dc < 2.0 * radii[:, None]))
 
-        moved += _repair_empty(
-            x,
-            new_assign,
-            centers,
-            k,
-            lambda mem, c: counter.rows(x[mem], centers[c]),
-            stats,
-        )
+        donor = lambda mem, c: counter.rows(x[mem], centers[c])
+        moved += _repair_empty(new_assign, k, donor, stats)
         stats.points_moved_per_iter.append(int(moved))
         stats.iterations = iteration
         assign = new_assign
@@ -535,13 +536,12 @@ def run(
         prev_centers = centers
 
     stats.distance_computations = counter.count
-    ties = _tie_report(fn, x, centers)
     result = Clustering(
         assignments=assign,
         centers=centers,
-        radii=radii.copy(),
+        radii=radii,
         converged=converged,
-        ties=ties,
+        ties=_tie_report(fn, x, centers),
         history=history if record_history else None,
     )
     return result, stats
@@ -560,19 +560,15 @@ def lloyd_run(
     stats = RunStats()
     history = [assign.copy()]
     converged = False
-    centers = np.empty((k, ds.d))
-    dfull = None
     for iteration in range(1, cfg.max_iter + 1):
-        centers = _centers_of(x, assign, k)
+        centers, _, _ = _centers_of(x, assign, k)
         dfull = np.stack([counter.rows(x, centers[j]) for j in range(k)], axis=1)
         cur = dfull[np.arange(n), assign]
         best = dfull.min(axis=1)
         first = dfull.argmin(axis=1)
         new_assign = np.where(cur == best, assign, first)
         moved = int((new_assign != assign).sum())
-        moved += _repair_empty(
-            x, new_assign, centers, k, lambda mem, c: dfull[mem, c], stats
-        )
+        moved += _repair_empty(new_assign, k, lambda mem, c: dfull[mem, c], stats)
         stats.points_moved_per_iter.append(int(moved))
         stats.iterations = iteration
         assign = new_assign
@@ -582,12 +578,8 @@ def lloyd_run(
             break
 
     stats.distance_computations = counter.count
-    radii = np.array(
-        [
-            _raw_rows(fn, x[np.flatnonzero(assign == i)], centers[i]).max()
-            for i in range(k)
-        ]
-    )
+    order, bounds = _groups(assign, k)
+    radii = np.maximum.reduceat(dfull[order, assign[order]], bounds[:-1])
     result = Clustering(
         assignments=assign,
         centers=centers,
@@ -632,7 +624,7 @@ def ball_geometry(
 
 def _tie_report(fn: DistanceFn, x: np.ndarray, centers: np.ndarray) -> list:
     """Points whose nearest-center argmin is not unique (uncounted full scan)."""
-    dfull = np.stack([_raw_rows(fn, x, centers[j]) for j in range(centers.shape[0])], axis=1)
+    dfull = np.stack([row_distances(fn, x, c) for c in centers], axis=1)
     best = dfull.min(axis=1)
     ties = []
     tied_rows = np.flatnonzero((dfull == best[:, None]).sum(axis=1) > 1)

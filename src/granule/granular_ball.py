@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .ball_kmeans import BkmConfig, Dataset, Init, run
-from .metrics import DistanceFn, euclidean
+from .metrics import DistanceFn, euclidean, row_distances
 
 __all__ = [
     "LabeledDataset",
@@ -133,7 +133,7 @@ def make_ball(ds: LabeledDataset, members: Sequence[int], distance: DistanceFn =
     fn = distance if distance is not None else euclidean()
     pts = ds.points.points[list(mem)]
     center = pts.mean(axis=0)
-    dists = np.array([float(fn.eval(row, center)) for row in pts])
+    dists = row_distances(fn, pts, center)
     pur, maj = _label_stats(ds, mem)
     return GranularBall(
         center=center,

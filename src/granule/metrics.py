@@ -28,6 +28,7 @@ __all__ = [
     "chebyshev",
     "forward_gap",
     "NAMED_DISTANCES",
+    "row_distances",
     "classify_distance",
     "point_set_distance",
     "hausdorff_distance",
@@ -164,6 +165,13 @@ class AxiomReport:
     @property
     def is_metric_on_sample(self) -> bool:
         return self.identity and self.symmetry and self.triangle
+
+
+def row_distances(fn: DistanceFn, m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Distances from each row of ``m`` to ``v``: ``fn.rows`` when present, else ``eval`` per row."""
+    if fn.rows is not None:
+        return fn.rows(m, v)
+    return np.array([float(fn.eval(row, v)) for row in m])
 
 
 def _as_point(p) -> np.ndarray:

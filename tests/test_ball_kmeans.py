@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,8 +22,15 @@ from granule.ball_kmeans import (
     run,
     stable_region,
 )
+from granule.metrics import Kind, chebyshev, euclidean, forward_gap, manhattan, squared_euclidean
 
 from conftest import make_blobs
+
+
+def same_history(a, b):
+    return len(a.history) == len(b.history) and all(
+        np.array_equal(p, q) for p, q in zip(a.history, b.history)
+    )
 
 
 def brute_force_assign(x, centers, assign):
@@ -131,6 +140,21 @@ class TestGeometry:
     def test_annulus_stable_point(self):
         _, labels = annular_regions(np.array([1.0, 1.7, 1.5]), np.array([3.0]), 2.0)
         assert labels.tolist() == [0, 1, 0]  # boundary at 1.5 is inclusive
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=40)
+    def test_annulus_labels_match_loop_reference(self, seed):
+        # grid values hit the boundaries exactly, with repeated neighbor distances
+        rng = np.random.default_rng(seed)
+        nd = np.sort(rng.choice([0.5, 1.0, 2.0, 3.0], size=int(rng.integers(1, 5))))
+        d = rng.choice([0.0, 0.25, 0.5, 1.0, 1.5, 2.0], size=20)
+        radius = float(rng.choice([0.5, 1.0, 1.5, 2.0]))
+        bounds, labels = annular_regions(d, nd, radius)
+        ref = np.zeros(d.size, dtype=int)
+        for m in range(1, nd.size + 1):
+            hi = bounds[m] if m < nd.size else radius
+            ref[(d > bounds[m - 1]) & (d <= hi)] = m
+        assert labels.tolist() == ref.tolist()
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40)
@@ -300,3 +324,62 @@ class TestRun:
         if clustering.ties:
             point, clusters = clustering.ties[0]
             assert len(clusters) > 1
+
+
+class TestDistances:
+    @pytest.mark.parametrize("factory", [squared_euclidean, forward_gap])
+    def test_run_refuses_distances_without_metric_bounds(self, factory):
+        ds = Dataset(make_blobs(30, 2, 2, seed=1))
+        cfg = BkmConfig(k=2, seed=0, distance=factory())
+        with pytest.raises(ConfigError):
+            run(ds, cfg)
+        with pytest.raises(ConfigError):
+            reassign(ds, ds.points[:2], np.ones(2), np.arange(30) % 2, distance=factory())
+        naive, _ = lloyd_run(ds, cfg)  # the full scan needs no bounds
+        assert naive.assignments.shape == (30,)
+
+    # (iterations, distance_computations, prunings_fired, neighbor_free_stable_clusters)
+    @pytest.mark.parametrize(
+        "factory, counts",
+        [
+            (euclidean, (28, 163952, 87018, 0)),
+            (manhattan, (33, 201225, 101902, 0)),
+            (chebyshev, (39, 228919, 121782, 0)),
+        ],
+    )
+    def test_exact_with_pinned_counts_at_large_k(self, factory, counts):
+        ds = Dataset(make_blobs(3000, 2, 60, seed=1))
+        cfg = BkmConfig(k=60, seed=3, init=Init.PLUS_PLUS, distance=factory())
+        fast, stats = run(ds, cfg, record_history=True)
+        naive, _ = lloyd_run(ds, cfg, record_history=True)
+        assert same_history(fast, naive)
+        assert (
+            stats.iterations,
+            stats.distance_computations,
+            stats.prunings_fired,
+            stats.neighbor_free_stable_clusters,
+        ) == counts
+
+    def test_no_quadratic_scalar_calls(self):
+        calls = []
+        base = euclidean()
+
+        def counted(a, b):
+            calls.append(1)
+            return base.eval(a, b)
+
+        fn = dataclasses.replace(base, eval=counted)
+        ds = Dataset(make_blobs(3000, 2, 60, seed=1))
+        _, stats = run(ds, BkmConfig(k=60, seed=3, init=Init.PLUS_PLUS, distance=fn))
+        # only the k center shifts use eval; every other distance is a row-kernel call
+        assert len(calls) <= 60 * stats.iterations
+
+    def test_instrument_flags_a_mislabelled_distance(self):
+        # squared Euclidean breaks the triangle inequality the bounds rely on
+        fn = dataclasses.replace(squared_euclidean(), declared_kind=Kind.METRIC)
+        ds = Dataset(make_blobs(40, 2, 4, seed=1))
+        cfg = BkmConfig(k=4, seed=1, distance=fn)
+        fast, stats = run(ds, cfg, instrument=True, record_history=True)
+        naive, _ = lloyd_run(ds, cfg, record_history=True)
+        assert not same_history(fast, naive)
+        assert stats.stable_violations + stats.move_target_violations + stats.pruning_violations > 0

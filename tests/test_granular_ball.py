@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from granule.granular_ball import (
     resolve_overlaps,
     split,
 )
+from granule.metrics import chebyshev, euclidean, manhattan
 
 
 def ball_of(center, radius, members, label, purity_=1.0):
@@ -61,6 +64,17 @@ class TestMakeBall:
         ds = LabeledDataset.build(pts, [0] * 12)
         b = make_ball(ds, range(12))
         assert b.radius <= compute_radius(ds.points, range(12), b.center) + 1e-12
+
+    @pytest.mark.parametrize("factory", [euclidean, manhattan, chebyshev])
+    def test_radius_matches_per_member_eval(self, factory):
+        # the row kernel, and the eval fallback for a distance without one
+        rng = np.random.default_rng(8)
+        pts = rng.normal(0, 3, (40, 4))
+        ds = LabeledDataset.build(pts, [0] * 40)
+        fn = factory()
+        for dist in (fn, dataclasses.replace(fn, rows=None)):
+            b = make_ball(ds, range(40), dist)
+            assert b.radius == np.array([fn.eval(p, b.center) for p in pts]).mean()
 
 
 class TestPurity:
