@@ -155,10 +155,6 @@ class _Counter:
         self.count += m.shape[0]
         return row_distances(self.fn, m, v)
 
-    def paired(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        self.count += a.shape[0]
-        return np.array([float(self.fn.eval(a[i], b[i])) for i in range(a.shape[0])])
-
 
 def _require_metric(fn: DistanceFn) -> None:
     if fn.declared_kind not in (Kind.METRIC, Kind.PSEUDOMETRIC):
@@ -235,9 +231,20 @@ def annular_regions(
         raise ValueError("annular regions need at least one neighbor")
     bounds = nd / 2.0
     d = np.asarray(member_dists, dtype=float)
-    labels = bounds.searchsorted(d, side="left")  # count of bounds strictly below d
-    labels[(labels == nd.size) & (d > radius)] = 0
-    return bounds, labels
+    return bounds, _annulus_labels(d, bounds, nd.size, radius)
+
+
+def _annulus_labels(d: np.ndarray, bounds: np.ndarray, width, radius) -> np.ndarray:
+    """Annulus label of each distance ``d[i]``: the count of bounds strictly below it.
+
+    ``bounds`` is one ascending row shared by all distances or one
+    inf-padded ascending row per distance (= ``searchsorted(side="left")``);
+    ``width`` is the count of finite bounds.  A distance past the last bound
+    and beyond ``radius`` gets 0.
+    """
+    labels = np.count_nonzero(bounds < d[:, None], axis=1)
+    labels[(labels == width) & (d > radius)] = 0
+    return labels
 
 
 def prune_neighbor_check(
@@ -255,6 +262,12 @@ def prune_neighbor_check(
 
 def init_clusters(ds: Dataset, cfg: BkmConfig) -> list[np.ndarray]:
     """Seeded initial memberships: k non-empty disjoint index sets covering all points."""
+    assign = _init_assignments(ds, cfg)
+    return [np.flatnonzero(assign == i) for i in range(cfg.k)]
+
+
+def _init_assignments(ds: Dataset, cfg: BkmConfig) -> np.ndarray:
+    """The assignment array of ``init_clusters``."""
     n = ds.n
     if cfg.k > n:
         raise ConfigError(f"k={cfg.k} exceeds dataset size n={n}")
@@ -266,13 +279,10 @@ def init_clusters(ds: Dataset, cfg: BkmConfig) -> list[np.ndarray]:
         if n > cfg.k:
             assign[perm[cfg.k :]] = rng.integers(0, cfg.k, size=n - cfg.k)
     else:
-        chosen = _plus_plus_indices(ds.points, cfg.k, rng)
-        cols = [_euclid_sq_rows(ds.points, ds.points[c]) for c in chosen]
-        assign = np.argmin(np.stack(cols, axis=1), axis=1)
+        chosen, assign = _plus_plus(ds.points, cfg.k, rng)
         # chosen points anchor their own cluster (guards duplicate-point draws)
-        for c_idx, p in enumerate(chosen):
-            assign[p] = c_idx
-    return [np.flatnonzero(assign == i) for i in range(cfg.k)]
+        assign[chosen] = np.arange(cfg.k)
+    return assign
 
 
 def _euclid_sq_rows(m: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -280,28 +290,24 @@ def _euclid_sq_rows(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.sum(diff * diff, axis=1)
 
 
-def _plus_plus_indices(x: np.ndarray, k: int, rng: np.random.Generator) -> list[int]:
+def _plus_plus(x: np.ndarray, k: int, rng: np.random.Generator) -> tuple[list[int], np.ndarray]:
+    """k-means++ seeds (squared Euclidean) and each point's first nearest seed."""
     n = x.shape[0]
     chosen = [int(rng.integers(n))]
     d2 = _euclid_sq_rows(x, x[chosen[0]])
-    for _ in range(1, k):
+    nearest = np.zeros(n, dtype=int)
+    for j in range(1, k):
         total = float(d2.sum())
         if total > 0.0:
             nxt = int(rng.choice(n, p=d2 / total))
         else:
             nxt = int(np.setdiff1d(np.arange(n), np.array(chosen))[0])
         chosen.append(nxt)
-        d2 = np.minimum(d2, _euclid_sq_rows(x, x[nxt]))
-    return chosen
-
-
-def _assignments_from_sets(sets: Sequence[np.ndarray], n: int) -> np.ndarray:
-    assign = np.full(n, -1, dtype=int)
-    for i, mem in enumerate(sets):
-        assign[np.asarray(mem, dtype=int)] = i
-    if (assign < 0).any():
-        raise ValueError("member sets do not cover the dataset")
-    return assign
+        col = _euclid_sq_rows(x, x[nxt])
+        closer = col < d2  # strict: the first minimum wins, as with argmin
+        nearest[closer] = j
+        d2 = np.minimum(d2, col)
+    return chosen, nearest
 
 
 def _groups(labels: np.ndarray, k: int) -> tuple[np.ndarray, list]:
@@ -318,16 +324,6 @@ def _centers_of(x: np.ndarray, assign: np.ndarray, k: int) -> tuple[np.ndarray, 
     segments = zip(bounds, bounds[1:])
     centers = np.stack([xs[a:b].sum(axis=0) / (b - a) for a, b in segments])  # = mean, bit for bit
     return centers, order, bounds
-
-
-def _own_distances(x: np.ndarray, centers: np.ndarray, order, bounds, counter) -> np.ndarray:
-    """Each point's distance to its own center, one row-kernel call per cluster."""
-    xs = np.take(x, order, axis=0)
-    d_own = np.empty(x.shape[0])
-    d_own[order] = np.concatenate(
-        [counter.rows(xs[bounds[i] : bounds[i + 1]], c) for i, c in enumerate(centers)]
-    )
-    return d_own
 
 
 def _repair_empty(assign: np.ndarray, k: int, donor_dists, stats: RunStats) -> int:
@@ -372,12 +368,9 @@ def reassign(
     _require_metric(fn)
     counter = _Counter(fn)
     k = centers.shape[0]
-    groups = _groups(assign, k)
-    d_own = _own_distances(ds.points, centers, *groups, counter)
+    d_own = counter.rows(ds.points, centers[assign])
     dmat, _, _ = _center_pairs(centers, radii, _pair_tables(k), None, None, counter)
-    new_assign, moved, _, _ = _annulus_pass(
-        ds.points, centers, radii, assign, groups, d_own, dmat, counter
-    )
+    new_assign, moved, _, _ = _annulus_pass(ds.points, centers, radii, assign, d_own, dmat, counter)
     if repair_empty:
         donor = lambda mem, c: counter.rows(ds.points[mem], centers[c])
         moved += _repair_empty(new_assign, k, donor, RunStats())
@@ -403,7 +396,7 @@ def _center_pairs(
     ``lb`` holds last iteration's lower bounds on the pair distances and
     ``deltas`` the center shifts (both None on the first iteration).  A pair
     pruned in both directions is not computed; its bound shrinks by the two
-    shifts.  Every other i<j pair is computed, one row-kernel call per i.
+    shifts.  Every other i<j pair is computed, all in one row-kernel call.
     Returns (dmat, new bounds, fired); dmat is nan where no distance was
     computed and fired[i, j] says the pruning test ruled j out for i.
     """
@@ -416,10 +409,7 @@ def _center_pairs(
         fired = prune_neighbor_check(lb, radii[:, None], dlo, dhi)
         skip = fired & fired.T
     ti, tj = np.nonzero(upper & ~skip)
-    cuts = [0] + np.cumsum(np.bincount(ti, minlength=k)).tolist()
-    segments = zip(range(k), cuts, cuts[1:])
-    parts = [counter.rows(centers[tj[a:b]], centers[i]) for i, a, b in segments if b > a]
-    d = np.concatenate([np.empty(0)] + parts)
+    d = counter.rows(centers[tj], centers[ti])
     dmat = np.full((k, k), np.nan)
     dmat[ti, tj] = d
     dmat[tj, ti] = d
@@ -432,45 +422,51 @@ def _annulus_pass(
     centers: np.ndarray,
     radii: np.ndarray,
     assign: np.ndarray,
-    groups: tuple[np.ndarray, list],
     d_own: np.ndarray,
     dmat: np.ndarray,
     counter: _Counter,
 ) -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
     """Annulus-bounded reassignment; dmat holds center distances (nan = not computed).
 
-    ``groups`` is the member grouping of ``assign`` (see ``_groups``).
     Returns (new assignments, moves, stable-point mask, neighbor matrix).
-    For each neighbor rank r of a cluster, one row-kernel call covers the
-    open points whose annulus reaches r; candidates are then compared in
-    cluster-id order, so exact ties go to the lowest id.
+    Each cluster's neighbors are ranked by (center distance, id), and a point
+    in annulus m is compared against the first m of them.  The (point,
+    candidate) pairs go to the row kernel in chunks of at most n rows; a point
+    moves only to a strictly closer candidate, the nearest one, exact ties to
+    the lowest id.
     """
-    order, bounds = groups
+    n, k = x.shape[0], centers.shape[0]
     near = dmat < 2.0 * radii[:, None]
-    half = np.where(near, dmat, np.inf).min(axis=1) / 2.0
-    stable = d_own <= half.take(assign)
-    unstable = ~stable
+    key = np.where(near, dmat, np.inf)
+    width = np.count_nonzero(near, axis=1)
+    ranked = np.argsort(key, axis=1, kind="stable")[:, : width.max()]  # non-neighbors last
+    bounds = np.take_along_axis(key, ranked, axis=1) / 2.0  # annulus bounds, inf-padded
+    stable = d_own <= key.min(axis=1).take(assign) / 2.0
+    pts = np.flatnonzero(~stable)
+    own = assign.take(pts)
+    dd = d_own.take(pts)
+    labels = _annulus_labels(dd, bounds[own], width[own], radii[own])
+    keep = labels > 0
+    pts, own, dd, labels = pts[keep], own[keep], dd[keep], labels[keep]
+    ends = np.cumsum(labels)
     new_assign = assign.copy()
     moved = 0
-    for i in np.bincount(assign[unstable], minlength=centers.shape[0]).nonzero()[0].tolist():
-        mem = order[bounds[i] : bounds[i + 1]]
-        pts = np.compress(unstable.take(mem), mem)
-        dd = d_own.take(pts)
-        ids = near[i].nonzero()[0]
-        dist = dmat[i].take(ids)
-        rank = np.argsort(dist, kind="stable")
-        _, labels = annular_regions(dd, dist[rank], radii[i])
-        xp = np.take(x, pts, axis=0)
-        block = np.full((ids.size, pts.size), np.inf)  # rows in cluster-id order
-        for r in range(labels.max()):
-            reach = labels > r
-            block[rank[r], reach] = counter.rows(
-                np.compress(reach, xp, axis=0), centers[ids[rank[r]]]
-            )
-        movers = np.flatnonzero(block.min(axis=0) < dd)  # strict improvement only
-        if movers.size:
-            new_assign[pts.take(movers)] = ids[np.argmin(block[:, movers], axis=0)]
-            moved += movers.size
+    lo = 0
+    while lo < pts.size:
+        base = ends[lo] - labels[lo]
+        # points lo..hi-1: as many as fit in n pairs, at least one
+        hi = max(lo + 1, int(ends.searchsorted(base + n, side="right")))
+        cnt = labels[lo:hi]
+        starts = ends[lo:hi] - cnt - base
+        seg = np.repeat(np.arange(hi - lo), cnt)  # pair -> point of the chunk
+        cand = ranked[own[lo:hi].take(seg), np.arange(seg.size) - starts.take(seg)]
+        dist = counter.rows(x[pts[lo:hi].take(seg)], centers[cand])
+        best = np.minimum.reduceat(dist, starts)
+        first = np.minimum.reduceat(np.where(dist == best.take(seg), cand, k), starts)  # lowest id
+        movers = best < dd[lo:hi]  # strict improvement only
+        new_assign[pts[lo:hi][movers]] = first[movers]
+        moved += int(np.count_nonzero(movers))
+        lo = hi
     return new_assign, moved, stable, near
 
 
@@ -491,10 +487,10 @@ def run(
     fn = cfg.distance
     _require_metric(fn)
     x = ds.points
-    n = ds.n
     k = cfg.k
     counter = _Counter(fn)
-    assign = _assignments_from_sets(init_clusters(ds, cfg), n)
+    uncounted = lambda m, v: row_distances(fn, m, v)
+    assign = _init_assignments(ds, cfg)
     stats = RunStats()
     history = [assign.copy()]
     tables = _pair_tables(k)
@@ -503,26 +499,26 @@ def run(
     converged = False
     for iteration in range(1, cfg.max_iter + 1):
         centers, order, bounds = _centers_of(x, assign, k)
-        deltas = None if prev_centers is None else counter.paired(centers, prev_centers)
-        d_own = _own_distances(x, centers, order, bounds, counter)
+        deltas = None if prev_centers is None else counter.rows(centers, prev_centers)
+        d_own = counter.rows(x, centers[assign])
         radii = np.maximum.reduceat(d_own[order], bounds[:-1])
         dmat, lb, fired = _center_pairs(centers, radii, tables, deltas, lb, counter)
-        stats.prunings_fired += np.count_nonzero(fired)
+        stats.prunings_fired += int(np.count_nonzero(fired))
 
         new_assign, moved, stable, near = _annulus_pass(
-            x, centers, radii, assign, (order, bounds), d_own, dmat, counter
+            x, centers, radii, assign, d_own, dmat, counter
         )
-        stats.neighbor_free_stable_clusters += np.count_nonzero(~near.any(axis=1))
+        stats.neighbor_free_stable_clusters += int(np.count_nonzero(~near.any(axis=1)))
 
         if instrument:
-            dfull = np.stack([row_distances(fn, x, c) for c in centers], axis=1)
+            dfull = _full_scan(uncounted, x, centers)
             best_full = dfull.min(axis=1)
             st = np.flatnonzero(stable)
             stats.stable_violations += int((dfull[st, assign[st]] != best_full[st]).sum())
             mv = np.flatnonzero(new_assign != assign)
             stats.move_target_violations += int((~near[assign[mv], new_assign[mv]]).sum())
-            dc = np.stack([row_distances(fn, centers, c) for c in centers], axis=1)
-            stats.pruning_violations += np.count_nonzero(fired & (dc < 2.0 * radii[:, None]))
+            dc = _full_scan(uncounted, centers, centers)
+            stats.pruning_violations += int(np.count_nonzero(fired & (dc < 2.0 * radii[:, None])))
 
         donor = lambda mem, c: counter.rows(x[mem], centers[c])
         moved += _repair_empty(new_assign, k, donor, stats)
@@ -541,7 +537,7 @@ def run(
         centers=centers,
         radii=radii,
         converged=converged,
-        ties=_tie_report(fn, x, centers),
+        ties=_ties(_full_scan(uncounted, x, centers)),
         history=history if record_history else None,
     )
     return result, stats
@@ -556,13 +552,13 @@ def lloyd_run(
     k = cfg.k
     fn = cfg.distance
     counter = _Counter(fn)
-    assign = _assignments_from_sets(init_clusters(ds, cfg), n)
+    assign = _init_assignments(ds, cfg)
     stats = RunStats()
     history = [assign.copy()]
     converged = False
     for iteration in range(1, cfg.max_iter + 1):
         centers, _, _ = _centers_of(x, assign, k)
-        dfull = np.stack([counter.rows(x, centers[j]) for j in range(k)], axis=1)
+        dfull = _full_scan(counter.rows, x, centers)
         cur = dfull[np.arange(n), assign]
         best = dfull.min(axis=1)
         first = dfull.argmin(axis=1)
@@ -585,7 +581,7 @@ def lloyd_run(
         centers=centers,
         radii=radii,
         converged=converged,
-        ties=_tie_report(fn, x, centers),
+        ties=_ties(dfull),  # dfull is against the returned centers
         history=history if record_history else None,
     )
     return result, stats
@@ -622,12 +618,13 @@ def ball_geometry(
     return out
 
 
-def _tie_report(fn: DistanceFn, x: np.ndarray, centers: np.ndarray) -> list:
-    """Points whose nearest-center argmin is not unique (uncounted full scan)."""
-    dfull = np.stack([row_distances(fn, x, c) for c in centers], axis=1)
-    best = dfull.min(axis=1)
-    ties = []
-    tied_rows = np.flatnonzero((dfull == best[:, None]).sum(axis=1) > 1)
-    for p in tied_rows:
-        ties.append((int(p), tuple(int(j) for j in np.flatnonzero(dfull[p] == best[p]))))
-    return ties
+def _full_scan(rows, x: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """(n, k) distances of every row of x to every center, one ``rows`` call per center."""
+    return np.stack([rows(x, c) for c in centers], axis=1)
+
+
+def _ties(dfull: np.ndarray) -> list:
+    """Points whose nearest-center argmin is not unique, from their (n, k) distances."""
+    hit = dfull == dfull.min(axis=1)[:, None]
+    tied_rows = np.flatnonzero(np.count_nonzero(hit, axis=1) > 1)
+    return [(int(p), tuple(np.flatnonzero(hit[p]).tolist())) for p in tied_rows]

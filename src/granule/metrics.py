@@ -63,8 +63,8 @@ class DistanceFn:
 
     ``eval`` maps a pair of equal-length 1-D vectors to a nonnegative float.
     ``rows``, when present, is a vectorized form mapping a (m, d) matrix and a
-    (d,) vector to the (m,) vector of row distances; it must agree bit-for-bit
-    with ``eval`` applied row by row.
+    (d,) or (m, d) ``v`` to the (m,) row distances, row i against ``v`` or
+    ``v[i]``; it must agree bit-for-bit with ``eval`` applied row by row.
     """
 
     name: str
@@ -168,10 +168,10 @@ class AxiomReport:
 
 
 def row_distances(fn: DistanceFn, m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Distances from each row of ``m`` to ``v``: ``fn.rows`` when present, else ``eval`` per row."""
+    """Row i of ``m`` against ``v`` or ``v[i]``: ``fn.rows`` when present, else ``eval`` per row."""
     if fn.rows is not None:
         return fn.rows(m, v)
-    return np.array([float(fn.eval(row, v)) for row in m])
+    return np.array([float(fn.eval(a, b)) for a, b in zip(m, np.broadcast_to(v, m.shape))])
 
 
 def _as_point(p) -> np.ndarray:

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -31,6 +32,28 @@ def same_history(a, b):
     return len(a.history) == len(b.history) and all(
         np.array_equal(p, q) for p, q in zip(a.history, b.history)
     )
+
+
+def counting(base, log):
+    """``base`` with each eval call logged as ("eval", 1) and each rows call as ("rows", m)."""
+    return dataclasses.replace(
+        base,
+        eval=lambda a, b: log.append(("eval", 1)) or base.eval(a, b),
+        rows=lambda m, v: log.append(("rows", m.shape[0])) or base.rows(m, v),
+    )
+
+
+def assert_exact_with_counts(ds, cfg, counts):
+    """run repeats lloyd_run's history with these (iterations, distances, prunings, neighbor-free)."""
+    fast, stats = run(ds, cfg, record_history=True)
+    naive, _ = lloyd_run(ds, cfg, record_history=True)
+    assert same_history(fast, naive)
+    assert (
+        stats.iterations,
+        stats.distance_computations,
+        stats.prunings_fired,
+        stats.neighbor_free_stable_clusters,
+    ) == counts
 
 
 def brute_force_assign(x, centers, assign):
@@ -262,6 +285,13 @@ class TestRun:
         assert stats.move_target_violations == 0
         assert stats.pruning_violations == 0
 
+    def test_stats_serialize_as_json(self):
+        ds = Dataset(make_blobs(150, 2, 5, seed=13))
+        cfg = BkmConfig(k=5, seed=2)
+        for _, stats in (run(ds, cfg, instrument=True), lloyd_run(ds, cfg)):
+            counts = dataclasses.asdict(stats)
+            assert json.loads(json.dumps(counts)) == counts
+
     def test_lloyd_counts_full_scan(self):
         ds = Dataset(make_blobs(60, 2, 3, seed=21))
         cfg = BkmConfig(k=3, seed=5)
@@ -350,29 +380,44 @@ class TestDistances:
     def test_exact_with_pinned_counts_at_large_k(self, factory, counts):
         ds = Dataset(make_blobs(3000, 2, 60, seed=1))
         cfg = BkmConfig(k=60, seed=3, init=Init.PLUS_PLUS, distance=factory())
-        fast, stats = run(ds, cfg, record_history=True)
-        naive, _ = lloyd_run(ds, cfg, record_history=True)
-        assert same_history(fast, naive)
-        assert (
-            stats.iterations,
-            stats.distance_computations,
-            stats.prunings_fired,
-            stats.neighbor_free_stable_clusters,
-        ) == counts
+        assert_exact_with_counts(ds, cfg, counts)
+
+    def test_exact_with_pinned_counts_from_random_partition(self):
+        # most points start unstable with many candidates: the annulus block needs chunks
+        ds = Dataset(make_blobs(30000, 8, 30, seed=1))
+        cfg = BkmConfig(k=30, seed=3, init=Init.RANDOM_PARTITION)
+        assert_exact_with_counts(ds, cfg, (60, 6643029, 39082, 579))
 
     def test_no_quadratic_scalar_calls(self):
-        calls = []
-        base = euclidean()
-
-        def counted(a, b):
-            calls.append(1)
-            return base.eval(a, b)
-
-        fn = dataclasses.replace(base, eval=counted)
         ds = Dataset(make_blobs(3000, 2, 60, seed=1))
-        _, stats = run(ds, BkmConfig(k=60, seed=3, init=Init.PLUS_PLUS, distance=fn))
-        # only the k center shifts use eval; every other distance is a row-kernel call
-        assert len(calls) <= 60 * stats.iterations
+        for base in (euclidean(), manhattan()):
+            log = []
+            cfg = BkmConfig(k=60, seed=3, init=Init.PLUS_PLUS, distance=counting(base, log))
+            _, stats = run(ds, cfg)
+            kinds = [kind for kind, _ in log]
+            assert "eval" not in kinds
+            # one call per phase (own, shift, pairs, up to three annulus chunks) and per
+            # repair, plus the final tie scan with one call per center
+            assert kinds.count("rows") <= 6 * stats.iterations + stats.empty_cluster_repairs + 60
+
+    def test_annulus_gathers_stay_within_n_rows(self):
+        # from a random partition nearly every point is unstable with many candidates
+        log = []
+        ds = Dataset(make_blobs(1000, 2, 20, seed=1))
+        cfg = BkmConfig(k=20, seed=3, init=Init.RANDOM_PARTITION, distance=counting(euclidean(), log))
+        run(ds, cfg)
+        assert max(rows for _, rows in log) <= 1000
+
+    @pytest.mark.parametrize("factory", [euclidean, manhattan])
+    def test_eval_fallback_matches_row_kernel(self, factory):
+        ds = Dataset(make_blobs(400, 2, 12, seed=4))
+        cfg = BkmConfig(k=12, seed=1, init=Init.RANDOM_PARTITION, distance=factory())
+        bare = dataclasses.replace(cfg, distance=dataclasses.replace(cfg.distance, rows=None))
+        fast, stats = run(ds, cfg, record_history=True)
+        slow, slow_stats = run(ds, bare, record_history=True)
+        assert same_history(fast, slow)
+        assert stats == slow_stats
+        assert fast.ties == slow.ties and np.array_equal(fast.centers, slow.centers)
 
     def test_instrument_flags_a_mislabelled_distance(self):
         # squared Euclidean breaks the triangle inequality the bounds rely on

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -16,6 +18,7 @@ from granule.metrics import (
     infimal_distance,
     manhattan,
     point_set_distance,
+    row_distances,
     squared_euclidean,
 )
 
@@ -162,3 +165,20 @@ class TestSetDistances:
     @given(points_1d)
     def test_hausdorff_self_is_zero(self, h):
         assert hausdorff_distance(euclidean(), h, h) == 0.0
+
+
+class TestRowKernels:
+    @pytest.mark.parametrize("factory", [euclidean, manhattan, chebyshev])
+    def test_paired_rows_match_eval_bit_for_bit(self, factory):
+        # row i against v[i]: ball k-means gathers own centers and center shifts this way
+        fn = factory()
+        bare = dataclasses.replace(fn, rows=None)
+        rng = np.random.default_rng(0)
+        for d in (1, 2, 3, 8, 33):
+            for scale in (1e-3, 1.0, 1e3, 1e8):
+                a = rng.normal(0, scale, (100, d))
+                b = a + rng.normal(0, scale, (100, d)) * rng.choice([1e-9, 1.0], (100, 1))
+                ref = np.array([fn.eval(p, q) for p, q in zip(a, b)])
+                assert fn.rows(a, b).tobytes() == ref.tobytes()
+                assert row_distances(bare, a, b).tobytes() == ref.tobytes()
+                assert row_distances(bare, a, b[0]).tobytes() == fn.rows(a, b[0]).tobytes()
