@@ -210,6 +210,18 @@ def _stop_reason(ball: GranularBall, depth: int, cfg: GbConfig) -> Optional[str]
     return None
 
 
+def _result(entries: list, audit: list, unresolved: Sequence = ()) -> GbResult:
+    """GbResult over (ball, stop reason, depth) entries, sorted by smallest member."""
+    entries = sorted(entries, key=lambda e: e[0].members[0])
+    return GbResult(
+        balls=[b for b, _, _ in entries],
+        stop_reasons=[r for _, r, _ in entries],
+        depths=[d for _, _, d in entries],
+        split_audit=audit,
+        unresolved_overlaps=sorted(unresolved),
+    )
+
+
 def generate(ds: LabeledDataset, cfg: GbConfig) -> GbResult:
     """Worklist refinement from the whole-dataset ball down to stop-satisfying balls.
 
@@ -238,13 +250,7 @@ def generate(ds: LabeledDataset, cfg: GbConfig) -> GbResult:
         )
         for child in children:
             work.append((child, depth + 1))
-    final.sort(key=lambda item: item[0].members[0])
-    result = GbResult(
-        balls=[b for b, _, _ in final],
-        stop_reasons=[r for _, r, _ in final],
-        depths=[d for _, _, d in final],
-        split_audit=audit,
-    )
+    result = _result(final, audit)
     if cfg.overlap_resolution:
         result = resolve_overlaps(ds, result, cfg)
     return result
@@ -253,57 +259,57 @@ def generate(ds: LabeledDataset, cfg: GbConfig) -> GbResult:
 def resolve_overlaps(ds: LabeledDataset, result: GbResult, cfg: GbConfig) -> GbResult:
     """Split away heterogeneous overlaps while offenders remain splittable.
 
-    The larger ball of the first offending pair is split (the smaller as a
-    fallback); pairs whose offenders are both stuck at min_points or the
-    depth cap are reported unresolved.
+    The larger ball of the first offending pair (row-major over the balls
+    sorted by smallest member) is split, the smaller as a fallback; pairs
+    whose offenders are both stuck at min_points or the depth cap are
+    reported unresolved.  The pair table is built once; a split adds only
+    its children's rows.
     """
-    entries = list(zip(result.balls, result.stop_reasons, result.depths))
+    entries = sorted(zip(result.balls, result.stop_reasons, result.depths), key=lambda e: e[0].members[0])
     audit = list(result.split_audit)
-    unresolved: set = set()
+    unresolved = []
 
     def splittable(ball: GranularBall, depth: int) -> bool:
         return ball.size > max(cfg.min_points, cfg.split_k - 1) and depth < cfg.max_depth
 
+    def offending(fresh: np.ndarray) -> np.ndarray:
+        # rows `fresh` of the table; as in heterogeneous_overlap, unlabeled balls never offend
+        balls = [b for b, _, _ in entries]
+        labeled = np.array([b.majority_label is not None for b in balls])
+        if len(balls) > 1 and not labeled.all():
+            warnings.warn("overlap resolution over balls without a majority label", stacklevel=3)
+        labels = np.array([b.majority_label or 0 for b in balls])
+        centers = np.array([b.center for b in balls])
+        radii = np.array([b.radius for b in balls])
+        dist = np.array([row_distances(euclidean(), centers, centers[i]) for i in fresh])
+        return labeled[fresh, None] & labeled & (labels[fresh, None] != labels) & (dist < radii[fresh, None] + radii)
+
+    table = offending(np.arange(len(entries)))
     while True:
-        entries.sort(key=lambda item: item[0].members[0])
-        offending = None
-        for i in range(len(entries)):
-            for j in range(i + 1, len(entries)):
-                key = (entries[i][0].members, entries[j][0].members)
-                if key in unresolved:
-                    continue
-                if heterogeneous_overlap(entries[i][0], entries[j][0]):
-                    offending = (i, j)
-                    break
-            if offending:
-                break
-        if offending is None:
+        # symmetric (euclidean is bitwise symmetric), False diagonal: the first True has i < j
+        hits = np.flatnonzero(table)
+        if not hits.size:
             break
-        i, j = offending
+        i, j = divmod(int(hits[0]), len(entries))
         first, second = (i, j) if entries[i][0].size >= entries[j][0].size else (j, i)
-        target = None
-        for idx in (first, second):
-            if splittable(entries[idx][0], entries[idx][2]):
-                target = idx
-                break
+        target = next((t for t in (first, second) if splittable(entries[t][0], entries[t][2])), None)
         if target is None:
-            unresolved.add((entries[i][0].members, entries[j][0].members))
+            unresolved.append((entries[i][0].members, entries[j][0].members))
+            table[i, j] = table[j, i] = False
             continue
         ball, _, depth = entries.pop(target)
         children = split(ds, ball, cfg.split_k, seed=cfg.seed, depth=depth)
         audit.append((ball.members, tuple(c.members for c in children), check_major_minor(ball, children)))
-        for child in children:
-            reason = _stop_reason(child, depth + 1, cfg) or "overlap_resolution"
-            entries.append((child, reason, depth + 1))
+        entries += [(c, _stop_reason(c, depth + 1, cfg) or "overlap_resolution", depth + 1) for c in children]
+        table = np.pad(np.delete(np.delete(table, target, axis=0), target, axis=1), (0, len(children)))
+        fresh = np.arange(len(entries) - len(children), len(entries))
+        table[fresh] = offending(fresh)
+        table[:, fresh] = table[fresh].T
+        order = sorted(range(len(entries)), key=lambda t: entries[t][0].members[0])
+        entries = [entries[t] for t in order]
+        table = table[order][:, order]
 
-    entries.sort(key=lambda item: item[0].members[0])
-    return GbResult(
-        balls=[b for b, _, _ in entries],
-        stop_reasons=[r for _, r, _ in entries],
-        depths=[d for _, _, d in entries],
-        split_audit=audit,
-        unresolved_overlaps=sorted(unresolved),
-    )
+    return _result(entries, audit, unresolved)
 
 
 def classify(balls: Sequence[GranularBall], x, distance: DistanceFn = None) -> int:
@@ -316,7 +322,7 @@ def classify(balls: Sequence[GranularBall], x, distance: DistanceFn = None) -> i
         raise ValueError("classification needs at least one labeled ball")
     fn = distance if distance is not None else euclidean()
     xv = np.atleast_1d(np.asarray(x, dtype=float))
-    best = min(
-        labeled, key=lambda ib: (float(fn.eval(xv, ib[1].center)) - ib[1].radius, ib[1].radius, ib[0])
-    )
-    return int(best[1].majority_label)
+    centers = np.array([b.center for _, b in labeled])
+    radii = np.array([b.radius for _, b in labeled])
+    score = row_distances(fn, np.broadcast_to(xv, centers.shape), centers) - radii
+    return int(labeled[np.lexsort((radii, score))[0]][1].majority_label)  # stable: ties keep ball order

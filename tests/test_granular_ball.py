@@ -1,10 +1,13 @@
 import dataclasses
+import functools
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from granule import granular_ball
 from granule.ball_kmeans import compute_radius
 from granule.granular_ball import (
     GbConfig,
@@ -21,7 +24,7 @@ from granule.granular_ball import (
     resolve_overlaps,
     split,
 )
-from granule.metrics import chebyshev, euclidean, manhattan
+from granule.metrics import DistanceFn, chebyshev, euclidean, forward_gap, manhattan
 
 
 def ball_of(center, radius, members, label, purity_=1.0):
@@ -229,8 +232,8 @@ class TestResolveOverlaps:
 
     def test_separable_overlap_removed_by_splitting(self):
         rng = np.random.default_rng(2)
-        left = rng.normal(0.0, 0.4, (20, 1))
-        right = rng.normal(2.0, 0.4, (20, 1))
+        left = rng.normal(0.0, 1.0, (20, 1))
+        right = rng.normal(0.8, 1.0, (20, 1))
         pts = np.concatenate([left, right])
         labels = [0] * 20 + [1] * 20
         ds = LabeledDataset.build(pts, labels)
@@ -240,15 +243,16 @@ class TestResolveOverlaps:
             stop_reasons=["purity", "purity"],
             depths=[0, 0],
         )
-        if heterogeneous_overlap(coarse.balls[0], coarse.balls[1]):
-            resolved = resolve_overlaps(ds, coarse, GbConfig(purity_threshold=0.9, seed=3))
-            pairs = [
-                (a, b)
-                for i, a in enumerate(resolved.balls)
-                for b in resolved.balls[i + 1 :]
-            ]
-            assert not any(heterogeneous_overlap(a, b) for a, b in pairs)
-            assert resolved.unresolved_overlaps == []
+        assert heterogeneous_overlap(coarse.balls[0], coarse.balls[1])
+        resolved = resolve_overlaps(ds, coarse, GbConfig(purity_threshold=0.9, seed=3))
+        assert len(resolved.balls) > 2
+        pairs = [
+            (a, b)
+            for i, a in enumerate(resolved.balls)
+            for b in resolved.balls[i + 1 :]
+        ]
+        assert not any(heterogeneous_overlap(a, b) for a, b in pairs)
+        assert resolved.unresolved_overlaps == []
 
     def test_stuck_offenders_reported(self):
         ds = LabeledDataset.build([[0.0], [0.5], [0.2], [0.7]], [0, 0, 1, 1])
@@ -260,6 +264,61 @@ class TestResolveOverlaps:
         cfg = GbConfig(purity_threshold=1.0, min_points=5, seed=0)
         resolved = resolve_overlaps(ds, coarse, cfg)
         assert resolved.unresolved_overlaps
+
+    @pytest.mark.parametrize(
+        "n, seed, min_points, split_k",
+        [(300, 4, 1, 2), (300, 4, 4, 2), (300, 4, 10, 2), (300, 4, 4, 3), (1000, 6, 1, 2), (1000, 6, 4, 2), (1000, 6, 10, 2)],
+    )
+    def test_matches_pairwise_rescan(self, n, seed, min_points, split_k):
+        x, y = noisy_classes(n, seed=seed)
+        ds = LabeledDataset.build(x, y.tolist())
+        cfg = GbConfig(purity_threshold=0.95, min_points=min_points, split_k=split_k, seed=5)
+        base = generate(ds, cfg)
+        resolved = resolve_overlaps(ds, base, cfg)
+        assert len(resolved.split_audit) > len(base.split_audit)
+        assert bool(resolved.unresolved_overlaps) == (min_points > 1)  # stuck pairs are covered
+        assert_same_result(resolved, pairwise_resolve_overlaps(ds, base, cfg))
+
+    def test_unlabeled_balls_warn_and_never_offend(self):
+        x, y = noisy_classes(300, seed=4)
+        # an unlabeled cloud amid the classes ends up in balls without a majority label
+        cloud = np.random.default_rng(4).normal(x.mean(axis=0), 1.0, (40, x.shape[1]))
+        ds = LabeledDataset.build(np.concatenate([x, cloud]), y.tolist() + [None] * 40)
+        cfg = GbConfig(purity_threshold=0.95, min_points=4, seed=5)
+        base = generate(ds, cfg)
+        assert any(b.majority_label is None for b in base.balls)
+        with pytest.warns(UserWarning):
+            resolved = resolve_overlaps(ds, base, cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert_same_result(resolved, pairwise_resolve_overlaps(ds, base, cfg))
+
+    def test_no_eval_and_linear_rows_per_split(self, monkeypatch):
+        x, y = noisy_classes(300, seed=4)
+        ds = LabeledDataset.build(x, y.tolist())
+        cfg = GbConfig(purity_threshold=0.95, min_points=4, seed=5)
+        base = generate(ds, cfg)
+        counts = {"eval": 0, "rows": 0}
+        real = euclidean()
+
+        def counted_eval(a, b):
+            counts["eval"] += 1
+            return real.eval(a, b)
+
+        def counted_rows(m, v):
+            counts["rows"] += len(m)
+            return real.rows(m, v)
+
+        counting = DistanceFn("counting", counted_eval, real.declared_kind, rows=counted_rows)
+        monkeypatch.setattr(granular_ball, "euclidean", lambda: counting)
+        # children keep the real distance, so only the pair table is counted
+        monkeypatch.setattr(granular_ball, "make_ball", functools.partial(make_ball, distance=real))
+        resolved = resolve_overlaps(ds, base, cfg)
+        splits = len(resolved.split_audit) - len(base.split_audit)
+        b0, b_max = len(base.balls), len(resolved.balls)
+        assert splits > 0
+        assert counts["eval"] == 0
+        assert counts["rows"] <= b0 * b0 + cfg.split_k * splits * b_max
 
 
 class TestClassify:
@@ -289,9 +348,104 @@ class TestClassify:
         with pytest.raises(ValueError):
             classify([ball_of([0.0], 1.0, (0,), None, purity_=None)], [0.0])
 
+    def test_score_ties_go_to_smaller_radius_then_lower_id(self):
+        wide, narrow = ball_of([3.0], 2.0, (0,), 1), ball_of([-2.0], 1.0, (1,), 0)
+        assert classify([wide, narrow], [0.0]) == 0  # both score 1.0
+        assert classify([narrow, ball_of([-2.0], 1.0, (2,), 2)], [0.0]) == 0
+
+    def test_asymmetric_distance_measured_from_the_point(self):
+        # forward gap from x=0: 0 to the ball at 2, 1 to the ball at -1; the reverse order flips it
+        balls = [ball_of([-1.0], 0.0, (0,), 0), ball_of([2.0], 0.0, (1,), 1)]
+        assert classify(balls, [0.0], forward_gap()) == 1
+
+    @pytest.mark.parametrize("factory", [euclidean, manhattan, forward_gap])
+    def test_matches_per_ball_minimum(self, factory):
+        x, y = noisy_classes(400, seed=3)
+        ds = LabeledDataset.build(x[:300], y[:300].tolist())
+        balls = generate(ds, GbConfig(purity_threshold=0.95, min_points=4, seed=5)).balls
+        fn = factory()
+        for p in x[300:]:
+            best = min(
+                (i for i, b in enumerate(balls) if b.majority_label is not None),
+                key=lambda i: (fn.eval(p, balls[i].center) - balls[i].radius, balls[i].radius, i),
+            )
+            assert classify(balls, p, fn) == balls[best].majority_label
+
 
 def two_blob_pair_heldout(n_per=50, gap=8.0, seed=77):
     rng = np.random.default_rng(seed)
     xt = np.concatenate([rng.normal(0.0, 1.0, (n_per, 2)), rng.normal(gap, 1.0, (n_per, 2))])
     yt = [0] * n_per + [1] * n_per
     return xt, yt
+
+
+def noisy_classes(n, d=4, classes=4, seed=1, spread=7.0, noise=0.05):
+    """Gaussian classes with a share ``noise`` of labels redrawn at random."""
+    rng = np.random.default_rng(seed)
+    centers = rng.uniform(0, spread, (classes, d))
+    y = rng.integers(0, classes, n)
+    x = rng.normal(centers[y], 1.0)
+    flip = rng.random(n) < noise
+    return x, np.where(flip, rng.integers(0, classes, n), y)
+
+
+def pairwise_resolve_overlaps(ds, result, cfg):
+    """Reference: rescan every ball pair with heterogeneous_overlap after each split."""
+    entries = list(zip(result.balls, result.stop_reasons, result.depths))
+    audit = list(result.split_audit)
+    unresolved = set()
+
+    def splittable(ball, depth):
+        return ball.size > max(cfg.min_points, cfg.split_k - 1) and depth < cfg.max_depth
+
+    while True:
+        entries.sort(key=lambda item: item[0].members[0])
+        offending = None
+        for i in range(len(entries)):
+            for j in range(i + 1, len(entries)):
+                key = (entries[i][0].members, entries[j][0].members)
+                if key in unresolved:
+                    continue
+                if heterogeneous_overlap(entries[i][0], entries[j][0]):
+                    offending = (i, j)
+                    break
+            if offending:
+                break
+        if offending is None:
+            break
+        i, j = offending
+        first, second = (i, j) if entries[i][0].size >= entries[j][0].size else (j, i)
+        target = None
+        for idx in (first, second):
+            if splittable(entries[idx][0], entries[idx][2]):
+                target = idx
+                break
+        if target is None:
+            unresolved.add((entries[i][0].members, entries[j][0].members))
+            continue
+        ball, _, depth = entries.pop(target)
+        children = split(ds, ball, cfg.split_k, seed=cfg.seed, depth=depth)
+        audit.append((ball.members, tuple(c.members for c in children), check_major_minor(ball, children)))
+        for child in children:
+            reason = granular_ball._stop_reason(child, depth + 1, cfg) or "overlap_resolution"
+            entries.append((child, reason, depth + 1))
+
+    entries.sort(key=lambda item: item[0].members[0])
+    return GbResult(
+        balls=[b for b, _, _ in entries],
+        stop_reasons=[r for _, r, _ in entries],
+        depths=[d for _, _, d in entries],
+        split_audit=audit,
+        unresolved_overlaps=sorted(unresolved),
+    )
+
+
+def assert_same_result(got, want):
+    assert [b.members for b in got.balls] == [b.members for b in want.balls]
+    assert [b.center.tobytes() for b in got.balls] == [b.center.tobytes() for b in want.balls]
+    assert [b.radius for b in got.balls] == [b.radius for b in want.balls]
+    assert [(b.purity, b.majority_label) for b in got.balls] == [(b.purity, b.majority_label) for b in want.balls]
+    assert got.stop_reasons == want.stop_reasons
+    assert got.depths == want.depths
+    assert got.split_audit == want.split_audit
+    assert got.unresolved_overlaps == want.unresolved_overlaps
