@@ -102,6 +102,15 @@ class CautiousBall:
     ambient: AmbientBall
     points: np.ndarray  # V, one point per row
     members: tuple
+    _index: dict = field(init=False, repr=False, compare=False)
+    _member_set: frozenset = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # tuple keys match as a coordinate scan does: -0.0 == 0.0, NaN never;
+        # reversed, so that the first of equal rows is kept
+        rows = list(enumerate(np.atleast_2d(np.asarray(self.points, dtype=float)).tolist()))
+        object.__setattr__(self, "_index", {tuple(row): i for i, row in reversed(rows)})
+        object.__setattr__(self, "_member_set", frozenset(self.members))
 
     @classmethod
     def build(
@@ -117,13 +126,10 @@ class CautiousBall:
 
     def locate(self, x: np.ndarray) -> Optional[int]:
         """Index of x in V by exact coordinate identity; None when absent."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        hits = np.flatnonzero((self.points == x).all(axis=1))
-        return int(hits[0]) if hits.size else None
+        return self._index.get(tuple(np.asarray(x, dtype=float).ravel().tolist()))
 
     def contains(self, x: np.ndarray) -> bool:
-        idx = self.locate(x)
-        return idx is not None and idx in set(self.members)
+        return self.locate(x) in self._member_set
 
     def member_points(self) -> list[np.ndarray]:
         return [self.points[i] for i in self.members]

@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .ball_kmeans import Dataset
-from .metrics import DistanceFn, euclidean
+from .metrics import DistanceFn, euclidean, row_distances
 
 __all__ = [
     "FinitePartialSystem",
@@ -192,11 +192,7 @@ class MashReport:
 
 def _apply2(table: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """table[i, j] with undefined (-1) arguments propagating to undefined."""
-    i, j = np.broadcast_arrays(i, j)
-    out = np.full(i.shape, UNDEFINED, dtype=int)
-    valid = (i >= 0) & (j >= 0)
-    out[valid] = table[i[valid], j[valid]]
-    return out
+    return np.pad(table, ((0, 1), (0, 1)), constant_values=UNDEFINED)[i, j]
 
 
 def _first_witness(mask: np.ndarray, sys: FinitePartialSystem) -> Optional[tuple]:
@@ -284,11 +280,7 @@ def check_mash(
             )
             results["UL3"] = AxiomResult(bool(ok), None if ok else (sys.elements[sys.bottom], sys.elements[sys.top]))
         elif ax == "TB":
-            viol = ~(p[sys.bottom, :] & p[:, sys.top])
-            idx = np.argwhere(viol)
-            results["TB"] = AxiomResult(
-                not viol.any(), tuple(sys.elements[int(t)] for t in idx[0]) if idx.size else None
-            )
+            put("TB", ~(p[sys.bottom, :] & p[:, sys.top]))
         elif ax in ("WRA", "LS", "FU"):
             adm = check_admissible(sys, mixed_depth2=wra_mixed_depth2)
             results[ax] = getattr(adm, ax.lower())
@@ -411,9 +403,8 @@ def ball_refinement_operator(ds: Dataset, distance: DistanceFn = None) -> Granul
         idx = np.array(sorted(int(i) for i in e), dtype=int)
         pts = ds.points[idx]
         center = pts.mean(axis=0)
-        dists = np.array([float(fn.eval(row, center)) for row in pts])
-        radius = float(dists.max())
-        all_d = np.array([float(fn.eval(row, center)) for row in ds.points])
+        radius = float(row_distances(fn, pts, center).max())
+        all_d = row_distances(fn, ds.points, center)
         return frozenset(int(i) for i in np.flatnonzero(all_d <= radius))
 
     return GranuleOperator(name="ball-refinement", apply=apply)
@@ -461,11 +452,7 @@ def is_existential_granule(
             raise BudgetError(
                 f"2^{len(g)} seed subsets exceed the budget; supply candidate seeds"
             )
-        ordered = sorted(g)
-        candidates = [g] + [
-            frozenset(ordered[b] for b in range(len(ordered)) if mask >> b & 1)
-            for mask in range(2 ** len(ordered) - 1)
-        ]
+        candidates = [g] + _unions([{el} for el in sorted(g)])[:-1]
     else:
         candidates = [frozenset(s) for s in seeds]
     for e in candidates:
@@ -533,6 +520,14 @@ def check_eggs(
     return EggsReport(g1=g1, g2=True, indeterminate=False, witness=witness)
 
 
+def _unions(parts: Sequence) -> list[frozenset]:
+    """The union of every sub-collection of parts; entry m joins the parts whose bit is set in m."""
+    out = [frozenset()]
+    for part in parts:
+        out += [u | part for u in out]
+    return out
+
+
 def build_set_hgos(universe_set: Sequence, granulation: Sequence[Sequence]) -> FinitePartialSystem:
     """Powerset system with union/meet as the lattice operations.
 
@@ -544,42 +539,31 @@ def build_set_hgos(universe_set: Sequence, granulation: Sequence[Sequence]) -> F
     base = sorted(universe_set)
     if len(base) > 10:
         raise BudgetError("powerset construction capped at 10 base elements")
+    if len(set(base)) != len(base):
+        raise StructureError("universe set has repeated elements")
     blocks = [frozenset(b) for b in granulation]
     covered = frozenset().union(*blocks) if blocks else frozenset()
     if covered != frozenset(base):
         raise StructureError("granulation does not cover the universe set")
-    elements = [
-        frozenset(base[b] for b in range(len(base)) if mask >> b & 1)
-        for mask in range(2 ** len(base))
-    ]
-    pos = {el: i for i, el in enumerate(elements)}
-    n = len(elements)
-    subset = np.zeros((n, n), dtype=bool)
-    join = np.empty((n, n), dtype=int)
-    meet = np.empty((n, n), dtype=int)
-    for i, a in enumerate(elements):
-        for j, b in enumerate(elements):
-            subset[i, j] = a <= b
-            join[i, j] = pos[a | b]
-            meet[i, j] = pos[a & b]
-    lower = np.empty(n, dtype=int)
-    upper = np.empty(n, dtype=int)
-    for i, a in enumerate(elements):
-        lower[i] = pos[frozenset().union(*(g for g in blocks if g <= a)) if any(g <= a for g in blocks) else frozenset()]
-        upper[i] = pos[frozenset().union(*(g for g in blocks if g & a)) if any(g & a for g in blocks) else frozenset()]
-    granules = np.zeros(n, dtype=bool)
-    for g in blocks:
-        granules[pos[g]] = True
+    # element m is the subset with mask m over base; the tables are mask arithmetic
+    elements = _unions([{el} for el in base])
+    bit = {el: 1 << i for i, el in enumerate(base)}
+    ar = np.arange(len(elements))
+    gm = np.array([sum(bit[el] for el in g) for g in blocks], dtype=int)
+    subset = (ar[:, None] & ~ar) == 0
+    granules = np.zeros(len(elements), dtype=bool)
+    granules[gm] = True
+    g = gm[:, None]
     return FinitePartialSystem(
         elements=elements,
         parthood=subset,
         order=subset.copy(),
-        join=join,
-        meet=meet,
-        lower=lower,
-        upper=upper,
-        bottom=pos[frozenset()],
-        top=pos[frozenset(base)],
+        join=ar[:, None] | ar,
+        meet=ar[:, None] & ar,
+        lower=np.bitwise_or.reduce(np.where((g & ~ar) == 0, g, 0), axis=0),
+        upper=np.bitwise_or.reduce(np.where((g & ar) != 0, g, 0), axis=0),
+        bottom=0,
+        top=len(elements) - 1,
         granules=granules,
     )
 

@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .ball_kmeans import BkmConfig, Dataset, run
-from .existential import BudgetError
+from .existential import BudgetError, _unions
 
 __all__ = [
     "ApproxSpace",
@@ -94,10 +94,49 @@ def pawlak_space(universe: Sequence, blocks: Sequence[Sequence]) -> ApproxSpace:
     return ApproxSpace(universe=uni, lower=lower, upper=upper, blocks=bl)
 
 
-def _subsets(universe: Sequence):
-    members = list(universe)
-    for mask in range(2 ** len(members)):
-        yield frozenset(members[b] for b in range(len(members)) if mask >> b & 1)
+def _mask_table(space: ApproxSpace, limit: int) -> tuple[list, np.ndarray, np.ndarray]:
+    """Every subset with its approximation masks, one ``approx`` call per subset.
+
+    Bit i of a mask stands for ``universe[i]``; ``subsets[m]`` is the subset
+    with mask m, and ``lo[m]``, ``up[m]`` are the masks of its lower and upper
+    approximations.  A map that leaves the universe is refused.
+    """
+    uni = space.universe
+    if len(uni) > limit:
+        raise BudgetError(f"universe of size {len(uni)} exceeds the exhaustion limit {limit}")
+    if len(set(uni)) != len(uni):
+        raise ValueError("universe has repeated elements")
+    subsets = _unions([{el} for el in uni])
+    index = {x: m for m, x in enumerate(subsets)}
+    table = np.empty((2, len(subsets)), dtype=np.int64)
+    for m, x in enumerate(subsets):
+        for row, name, image in zip(table, ("lower", "upper"), space.approx(x)):
+            if image not in index:
+                raise ValueError(
+                    f"{name} of {set(x)} returns {set(image - subsets[-1])} outside the universe"
+                )
+            row[m] = index[image]
+    return subsets, table[0], table[1]
+
+
+def _nested_pairs(universe: Sequence) -> tuple[np.ndarray, np.ndarray]:
+    """Mask arrays (a, b) of all 3^n pairs a <= b, in the exhaustive check order.
+
+    b runs in mask order; within b, bit i of the submask index picks the i-th
+    smallest element of b, so a runs in the submask order over ``sorted(b)``.
+    """
+    n = len(universe)
+    bs = np.arange(1 << n, dtype=np.int64)
+    count = 1 << sum((bs >> p) & 1 for p in range(n))
+    b = np.repeat(bs, count)
+    j = np.arange(b.size, dtype=np.int64) - np.repeat(np.cumsum(count) - count, count)
+    a = np.zeros_like(b)
+    taken = np.zeros_like(b)
+    for p in sorted(range(n), key=universe.__getitem__):
+        inb = (b >> p) & 1
+        a |= ((j >> taken) & inb) << p
+        taken += inb
+    return a, b
 
 
 @dataclass
@@ -115,9 +154,6 @@ class SpaceAxiomReport:
         return sorted(name for name, (passed, _) in self.results.items() if not passed)
 
 
-AXIOM_NAMES = ("int-cl", "l-id", "l-mo", "u-mo", "l-bot", "u-top")
-
-
 def check_approx_axioms(
     space: ApproxSpace,
     *,
@@ -128,60 +164,59 @@ def check_approx_axioms(
     """Verify the six minimal approximation axioms.
 
     Exhaustive over the powerset (and all nested pairs for monotonicity) up
-    to ``exhaustive_limit`` universe elements; beyond that a seeded sample of
-    subsets and nested pairs is used and the report is flagged as sampled.
+    to ``exhaustive_limit`` universe elements, where a map image outside the
+    universe raises ValueError; beyond that a seeded sample of subsets and
+    nested pairs is used and the report is flagged as sampled.
     """
     uni = space.universe
-    full = frozenset(uni)
-    sampled = len(uni) > exhaustive_limit
-    if sampled:
-        rng = np.random.default_rng(seed)
-        pool = []
-        for _ in range(samples):
-            mask = rng.integers(0, 2, size=len(uni)).astype(bool)
-            pool.append(frozenset(np.asarray(uni, dtype=object)[mask]))
-        pairs = []
-        for x in pool:
-            sub_mask = rng.integers(0, 2, size=len(uni)).astype(bool)
-            a = frozenset(e for i, e in enumerate(uni) if sub_mask[i] and e in x)
-            pairs.append((a, x))
-    else:
-        pool = list(_subsets(uni))
-        pairs = []
-        for b in pool:
-            items = sorted(b)
-            for mask in range(2 ** len(items)):
-                a = frozenset(items[i] for i in range(len(items)) if mask >> i & 1)
-                pairs.append((a, b))
+    if len(uni) <= exhaustive_limit:
+        return SpaceAxiomReport(results=_exhaustive_axioms(space, exhaustive_limit), sampled=False)
+    rng = np.random.default_rng(seed)
+    objs = np.asarray(uni, dtype=object)
+    pool = [frozenset(objs[rng.integers(0, 2, size=len(uni)).astype(bool)]) for _ in range(samples)]
+    pairs = [(x & frozenset(objs[rng.integers(0, 2, size=len(uni)).astype(bool)]), x) for x in pool]
+    lo = lambda x: space.approx(x)[0]
+    up = lambda x: space.approx(x)[1]
 
-    results: dict = {}
-    int_cl = l_id = (True, None)
-    for x in pool:
-        lx, ux = space.approx(x)
-        if int_cl[0] and not lx <= ux:
-            int_cl = (False, (x,))
-        llx, _ = space.approx(lx)
-        if l_id[0] and not llx <= lx:
-            l_id = (False, (x,))
-    results["int-cl"] = int_cl
-    results["l-id"] = l_id
+    def first(bad: Callable, cases: list) -> tuple:
+        return next(((False, case) for case in cases if bad(*case)), (True, None))
 
-    l_mo = u_mo = (True, None)
-    for a, b in pairs:
-        la, ua = space.approx(a)
-        lb, ub = space.approx(b)
-        if l_mo[0] and not la <= lb:
-            l_mo = (False, (a, b))
-        if u_mo[0] and not ua <= ub:
-            u_mo = (False, (a, b))
-    results["l-mo"] = l_mo
-    results["u-mo"] = u_mo
+    singles = [(x,) for x in pool]
+    results = {
+        "int-cl": first(lambda x: not lo(x) <= up(x), singles),
+        "l-id": first(lambda x: not lo(lo(x)) <= lo(x), singles),
+        "l-mo": first(lambda a, b: not lo(a) <= lo(b), pairs),
+        "u-mo": first(lambda a, b: not up(a) <= up(b), pairs),
+        "l-bot": first(lambda x: lo(x) != x, [(frozenset(),)]),
+        "u-top": first(lambda x: up(x) != x, [(frozenset(uni),)]),
+    }
+    return SpaceAxiomReport(results=results, sampled=True)
 
-    lbot, _ = space.approx(frozenset())
-    results["l-bot"] = (lbot == frozenset(), None if lbot == frozenset() else (frozenset(),))
-    _, utop = space.approx(full)
-    results["u-top"] = (utop == full, None if utop == full else (full,))
-    return SpaceAxiomReport(results=results, sampled=sampled)
+
+def _exhaustive_axioms(space: ApproxSpace, limit: int) -> dict:
+    """The six axioms over every subset and nested pair, as mask-table tests.
+
+    Each witness is the first violation: subsets in mask order, pairs in the
+    order of :func:`_nested_pairs`.
+    """
+    subsets, lo, up = _mask_table(space, limit)
+    a, b = _nested_pairs(space.universe)
+
+    def first(violated: np.ndarray, *masks: np.ndarray) -> tuple:
+        hits = np.flatnonzero(violated)
+        if not hits.size:
+            return True, None
+        return False, tuple(subsets[m[hits[0]]] for m in masks)
+
+    every = np.arange(len(subsets))
+    return {
+        "int-cl": first(lo & ~up != 0, every),
+        "l-id": first(lo[lo] & ~lo != 0, every),
+        "l-mo": first(lo[a] & ~lo[b] != 0, a, b),
+        "u-mo": first(up[a] & ~up[b] != 0, a, b),
+        "l-bot": (True, None) if lo[0] == 0 else (False, (subsets[0],)),
+        "u-top": (True, None) if up[-1] == every[-1] else (False, (subsets[-1],)),
+    }
 
 
 def approximation_set(space: ApproxSpace, *, exhaustive_limit: int = 14) -> list[frozenset]:
@@ -190,27 +225,10 @@ def approximation_set(space: ApproxSpace, *, exhaustive_limit: int = 14) -> list
     Partition-induced spaces fall back to block unions when the universe is
     too large to exhaust; anything else past the limit raises BudgetError.
     """
-    if len(space.universe) <= exhaustive_limit:
-        out = set()
-        for x in _subsets(space.universe):
-            lx, ux = space.approx(x)
-            out.add(lx)
-            out.add(ux)
-    elif space.blocks is not None:
-        out = set()
-        for mask in range(2 ** len(space.blocks)):
-            out.add(
-                frozenset().union(
-                    *(space.blocks[b] for b in range(len(space.blocks)) if mask >> b & 1)
-                )
-                if mask
-                else frozenset()
-            )
-    else:
-        raise BudgetError(
-            f"universe of size {len(space.universe)} exceeds the exhaustion limit"
-        )
-    return sorted(out, key=space.subset_order)
+    if len(space.universe) > exhaustive_limit and space.blocks is not None:
+        return sorted(set(_unions(space.blocks)), key=space.subset_order)
+    subsets, lo, up = _mask_table(space, exhaustive_limit)
+    return [subsets[m] for m in np.unique(np.concatenate((lo, up)))]
 
 
 @dataclass(frozen=True)
@@ -227,32 +245,24 @@ class RoughPair:
 
 def e1_pairs(space: ApproxSpace, *, exhaustive_limit: int = 14) -> list[RoughPair]:
     """The rough pairs (x^l, x^u) over all subsets, deduplicated, canonical order."""
-    if len(space.universe) > exhaustive_limit:
-        raise BudgetError("rough-pair enumeration needs an exhaustible universe")
-    seen = set()
-    for x in _subsets(space.universe):
-        lx, ux = space.approx(x)
-        seen.add((lx, ux))
-    key = lambda p: (space.subset_order(p[0]), space.subset_order(p[1]))
-    return [RoughPair(lower_part=a, upper_part=b) for a, b in sorted(seen, key=key)]
+    subsets, lo, up = _mask_table(space, exhaustive_limit)
+    n = len(space.universe)
+    return [
+        RoughPair(lower_part=subsets[key >> n], upper_part=subsets[key & ((1 << n) - 1)])
+        for key in np.unique(lo << n | up)
+    ]
 
 
 def f_objects(space: ApproxSpace, *, exhaustive_limit: int = 14) -> list[frozenset]:
     """Subsets that are not an approximation of anything (the non-definable leftovers)."""
-    a_tau = set(approximation_set(space, exhaustive_limit=exhaustive_limit))
-    return sorted(
-        (x for x in _subsets(space.universe) if x not in a_tau), key=space.subset_order
-    )
+    subsets, lo, up = _mask_table(space, exhaustive_limit)
+    return [subsets[m] for m in np.setdiff1d(np.arange(len(subsets)), np.concatenate((lo, up)))]
 
 
 def e2_objects(space: ApproxSpace, *, exhaustive_limit: int = 14) -> list[frozenset]:
     """Upper-closed subsets: x with x^u = x."""
-    if len(space.universe) > exhaustive_limit:
-        raise BudgetError("enumeration needs an exhaustible universe")
-    return sorted(
-        (x for x in _subsets(space.universe) if space.approx(x)[1] == x),
-        key=space.subset_order,
-    )
+    subsets, _, up = _mask_table(space, exhaustive_limit)
+    return [subsets[m] for m in np.flatnonzero(up == np.arange(len(subsets)))]
 
 
 class CrrfKind(enum.Enum):

@@ -57,6 +57,17 @@ class TestOvee:
         cau = CautiousBall.build([1.0], 1.0, np.array([[0.0], [1.0], [2.0], [9.0]]))
         assert cau.members == (0, 1, 2)
 
+    def test_locate_matches_coordinate_scan(self):
+        v = np.array([[0.0, 1.0], [1.0, -0.0], [np.nan, 0.0], [0.0, 1.0], [2.0, 2.0]])
+        cau = CautiousBall.build([0.0, 0.0], 1.5, v)
+        queries = [[0.0, 1.0], [-0.0, 1.0], [1.0, 0.0], [np.nan, 0.0], [2.0, 2.0], [3.0, 3.0]]
+        for x in queries:
+            hits = np.flatnonzero((v == np.array(x)).all(axis=1))
+            assert cau.locate(x) == (int(hits[0]) if hits.size else None)
+        assert cau.locate([-0.0, 1.0]) == 0  # first of two equal rows, -0.0 == 0.0
+        assert cau.locate([np.nan, 0.0]) is None
+        assert [cau.contains(x) for x in queries] == [True, True, True, False, False, False]
+
     def test_non_member_operand_is_domain_error(self):
         cau = CautiousBall.build([1.0], 1.0, np.array([[0.0], [1.0], [2.0], [9.0]]))
         with pytest.raises(BallDomainError):

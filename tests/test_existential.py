@@ -24,6 +24,46 @@ from granule.existential import (
 from fixtures_axioms import ALL_VIOLATIONS, pt2_violation, set_partitions
 
 
+def pairwise_build_set_hgos(universe_set, granulation):
+    """Reference: the powerset system built with one set operation per element pair."""
+    base = sorted(universe_set)
+    blocks = [frozenset(b) for b in granulation]
+    elements = [
+        frozenset(base[b] for b in range(len(base)) if mask >> b & 1)
+        for mask in range(2 ** len(base))
+    ]
+    pos = {el: i for i, el in enumerate(elements)}
+    n = len(elements)
+    subset = np.zeros((n, n), dtype=bool)
+    join = np.empty((n, n), dtype=int)
+    meet = np.empty((n, n), dtype=int)
+    for i, a in enumerate(elements):
+        for j, b in enumerate(elements):
+            subset[i, j] = a <= b
+            join[i, j] = pos[a | b]
+            meet[i, j] = pos[a & b]
+    lower = np.empty(n, dtype=int)
+    upper = np.empty(n, dtype=int)
+    for i, a in enumerate(elements):
+        lower[i] = pos[frozenset().union(*(g for g in blocks if g <= a))]
+        upper[i] = pos[frozenset().union(*(g for g in blocks if g & a))]
+    granules = np.zeros(n, dtype=bool)
+    for g in blocks:
+        granules[pos[g]] = True
+    return FinitePartialSystem(
+        elements=elements,
+        parthood=subset,
+        order=subset.copy(),
+        join=join,
+        meet=meet,
+        lower=lower,
+        upper=upper,
+        bottom=pos[frozenset()],
+        top=pos[frozenset(base)],
+        granules=granules,
+    )
+
+
 class TestSuites:
     def test_presets(self):
         assert "PT2" in AxiomSuite.mash().axioms
@@ -145,6 +185,33 @@ class TestSetHgos:
     def test_size_guard(self):
         with pytest.raises(BudgetError):
             build_set_hgos(list(range(11)), [list(range(11))])
+
+    def test_repeated_elements_rejected(self):
+        with pytest.raises(StructureError):
+            build_set_hgos([1, 1, 2], [[1], [2]])
+
+    def test_matches_pairwise_builder(self):
+        cases = [
+            (list(range(1, size + 1)), blocks)
+            for size in range(1, 6)
+            for blocks in set_partitions(list(range(1, size + 1)))
+        ]
+        cases += [
+            ([3, 1, 2, 5], [[3, 1], [1, 2], [2, 5]]),
+            ([4, 2, 3, 1, 5], [[1, 2, 3], [3, 4], [4, 5, 1]]),
+            ([2, 1, 3], [[1, 2], [], [2, 3]]),
+            (["b", "c", "a"], [["a", "b"], ["b", "c"], ["a", "b", "c"]]),
+            ([], []),
+        ]
+        assert len(cases) == 1 + 2 + 5 + 15 + 52 + 5
+        for base, blocks in cases:
+            got = build_set_hgos(base, blocks)
+            want = pairwise_build_set_hgos(base, blocks)
+            assert got.elements == want.elements
+            assert (got.bottom, got.top) == (want.bottom, want.top)
+            for name in ("parthood", "order", "join", "meet", "lower", "upper", "granules"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), (base, blocks, name)
 
 
 class TestFixpoints:

@@ -43,6 +43,91 @@ def broken_monotone_space():
     return ApproxSpace(universe=(1, 2, 3), lower=lower, upper=lambda x: x)
 
 
+def loop_subsets(universe):
+    members = list(universe)
+    for mask in range(2 ** len(members)):
+        yield frozenset(members[b] for b in range(len(members)) if mask >> b & 1)
+
+
+def loop_check_approx_axioms(space):
+    """Reference: the exhaustive frozenset loop over every subset and nested pair."""
+    uni = space.universe
+    full = frozenset(uni)
+    pool = list(loop_subsets(uni))
+    pairs = []
+    for b in pool:
+        items = sorted(b)
+        for mask in range(2 ** len(items)):
+            a = frozenset(items[i] for i in range(len(items)) if mask >> i & 1)
+            pairs.append((a, b))
+    results = {}
+    int_cl = l_id = (True, None)
+    for x in pool:
+        lx, ux = space.approx(x)
+        if int_cl[0] and not lx <= ux:
+            int_cl = (False, (x,))
+        llx, _ = space.approx(lx)
+        if l_id[0] and not llx <= lx:
+            l_id = (False, (x,))
+    results["int-cl"] = int_cl
+    results["l-id"] = l_id
+    l_mo = u_mo = (True, None)
+    for a, b in pairs:
+        la, ua = space.approx(a)
+        lb, ub = space.approx(b)
+        if l_mo[0] and not la <= lb:
+            l_mo = (False, (a, b))
+        if u_mo[0] and not ua <= ub:
+            u_mo = (False, (a, b))
+    results["l-mo"] = l_mo
+    results["u-mo"] = u_mo
+    lbot, _ = space.approx(frozenset())
+    results["l-bot"] = (lbot == frozenset(), None if lbot == frozenset() else (frozenset(),))
+    _, utop = space.approx(full)
+    results["u-top"] = (utop == full, None if utop == full else (full,))
+    return results
+
+
+def loop_approximation_set(space):
+    out = set()
+    for x in loop_subsets(space.universe):
+        out.update(space.approx(x))
+    return sorted(out, key=space.subset_order)
+
+
+def loop_e1_pairs(space):
+    seen = {space.approx(x) for x in loop_subsets(space.universe)}
+    key = lambda p: (space.subset_order(p[0]), space.subset_order(p[1]))
+    return [RoughPair(lower_part=a, upper_part=b) for a, b in sorted(seen, key=key)]
+
+
+def loop_f_objects(space):
+    a_tau = set(loop_approximation_set(space))
+    return sorted((x for x in loop_subsets(space.universe) if x not in a_tau), key=space.subset_order)
+
+
+def loop_e2_objects(space):
+    return sorted(
+        (x for x in loop_subsets(space.universe) if space.approx(x)[1] == x),
+        key=space.subset_order,
+    )
+
+
+def perturbed_space(rng):
+    """A partition space over an unsorted universe with a few map entries overwritten."""
+    n = int(rng.integers(1, 7))
+    uni = tuple(int(v) for v in rng.permutation(9)[:n])
+    labels = rng.integers(0, n, n)
+    blocks = [[u for u, lab in zip(uni, labels) if lab == c] for c in np.unique(labels)]
+    pawlak = pawlak_space(uni, blocks)
+    subsets = list(loop_subsets(uni))
+    tables = [{x: m(x) for x in subsets} for m in (pawlak.lower, pawlak.upper)]
+    for _ in range(int(rng.integers(0, 4))):
+        table = tables[int(rng.integers(2))]
+        table[subsets[int(rng.integers(len(subsets)))]] = subsets[int(rng.integers(len(subsets)))]
+    return ApproxSpace(universe=uni, lower=tables[0].__getitem__, upper=tables[1].__getitem__)
+
+
 class TestAxioms:
     def test_pawlak_passes_exhaustively(self):
         rep = check_approx_axioms(pawlak_space([1, 2, 3, 4], [[1, 2], [3], [4]]))
@@ -80,6 +165,61 @@ class TestAxioms:
             assert lx <= x <= ux
             assert space.approx(lx)[0] == lx
             assert space.approx(ux)[1] == ux
+
+
+class TestMaskTable:
+    def test_matches_frozenset_loops_on_perturbed_spaces(self):
+        rng = np.random.default_rng(8)
+        failures = dict.fromkeys(("int-cl", "l-id", "l-mo", "u-mo", "l-bot", "u-top"), 0)
+        for _ in range(300):
+            space = perturbed_space(rng)
+            rep = check_approx_axioms(space)
+            assert not rep.sampled
+            assert list(rep.results.items()) == list(loop_check_approx_axioms(space).items())
+            for name in rep.failed():
+                failures[name] += 1
+            assert approximation_set(space) == loop_approximation_set(space)
+            assert e1_pairs(space) == loop_e1_pairs(space)
+            assert f_objects(space) == loop_f_objects(space)
+            assert e2_objects(space) == loop_e2_objects(space)
+        assert all(failures.values()), failures
+
+    def test_monotonicity_witness_follows_sorted_submask_order(self):
+        # over (3, 1, 2) the first bad a below the full set is {1} in sorted
+        # order, but {3} in mask order
+        full = frozenset({1, 2, 3})
+        space = ApproxSpace(
+            universe=(3, 1, 2),
+            lower=lambda x: frozenset() if x == full else x,
+            upper=lambda x: x,
+        )
+        rep = check_approx_axioms(space)
+        assert rep.failed() == ["l-mo"]
+        assert rep.results["l-mo"] == (False, (frozenset({1}), full))
+
+    def test_one_approx_call_per_subset(self):
+        space = pawlak_space(range(6), [[0, 1], [2], [3, 4, 5]])
+        calls = []
+        approx = space.approx
+        space.approx = lambda x: calls.append(x) or approx(x)
+        assert check_approx_axioms(space).ok
+        assert len(calls) == 2**6
+
+    @pytest.mark.parametrize(
+        "enumerate_", [check_approx_axioms, approximation_set, e1_pairs, f_objects, e2_objects]
+    )
+    def test_out_of_universe_image_is_refused(self, enumerate_):
+        space = ApproxSpace(
+            universe=(1, 2),
+            lower=lambda x: x,
+            upper=lambda x: x | {7} if 2 in x else x,
+        )
+        with pytest.raises(ValueError, match=r"upper of \{2\} returns \{7\} outside the universe"):
+            enumerate_(space)
+
+    def test_repeated_universe_elements_are_refused(self):
+        with pytest.raises(ValueError, match="repeated"):
+            check_approx_axioms(pawlak_space([1, 1, 2], [[1], [2]]))
 
 
 class TestApproximationSet:
