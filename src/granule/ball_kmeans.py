@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -27,23 +27,17 @@ from .metrics import DistanceFn, Kind, euclidean, row_distances
 
 __all__ = [
     "Dataset",
-    "BallCluster",
     "BkmConfig",
     "RunStats",
     "Clustering",
     "Init",
     "ConfigError",
     "init_clusters",
-    "compute_center",
-    "compute_radius",
-    "neighbors",
-    "stable_region",
     "annular_regions",
     "reassign",
     "prune_neighbor_check",
     "run",
     "lloyd_run",
-    "ball_geometry",
 ]
 
 
@@ -77,18 +71,6 @@ class Dataset:
     @property
     def d(self) -> int:
         return self.points.shape[1]
-
-
-@dataclass
-class BallCluster:
-    """One cluster as a ball plus its per-iteration geometry."""
-
-    center: np.ndarray
-    radius: float
-    members: np.ndarray
-    stable_radius: Optional[float] = None
-    neighbors: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
-    annuli: np.ndarray = field(default_factory=lambda: np.empty(0))
 
 
 @dataclass(frozen=True)
@@ -135,9 +117,6 @@ class Clustering:
     def k(self) -> int:
         return self.centers.shape[0]
 
-    def member_sets(self) -> list[np.ndarray]:
-        return [np.flatnonzero(self.assignments == i) for i in range(self.k)]
-
 
 class _Counter:
     """Distance engine: one code path for every sigma evaluation, with counting.
@@ -162,56 +141,6 @@ def _require_metric(fn: DistanceFn) -> None:
             "the ball bounds need a symmetric distance with the triangle inequality; "
             f"{fn.name} is declared {fn.declared_kind.value} (lloyd_run accepts it)"
         )
-
-
-def compute_center(ds: Dataset, members: Sequence[int]) -> np.ndarray:
-    """Coordinate-wise mean of the member points."""
-    mem = np.asarray(members, dtype=int)
-    if mem.size == 0:
-        raise ValueError("cannot take the center of an empty member set")
-    return ds.points[np.sort(mem)].mean(axis=0)
-
-
-def compute_radius(
-    ds: Dataset, members: Sequence[int], center: np.ndarray, distance: DistanceFn = None
-) -> float:
-    """Greatest member distance from the center."""
-    mem = np.sort(np.asarray(members, dtype=int))
-    if mem.size == 0:
-        raise ValueError("cannot take the radius of an empty member set")
-    fn = distance if distance is not None else euclidean()
-    return float(row_distances(fn, ds.points[mem], np.asarray(center, dtype=float)).max())
-
-
-def neighbors(
-    centers: np.ndarray, radii: np.ndarray, i: int, distance: DistanceFn = None
-) -> np.ndarray:
-    """Clusters j != i whose center lies strictly inside twice cluster i's radius."""
-    fn = distance if distance is not None else euclidean()
-    centers = np.asarray(centers, dtype=float)
-    k = centers.shape[0]
-    out = [
-        j
-        for j in range(k)
-        if j != i and float(fn.eval(centers[i], centers[j])) < 2.0 * float(radii[i])
-    ]
-    return np.array(out, dtype=int)
-
-
-def stable_region(
-    centers: np.ndarray, i: int, neighbor_ids: Sequence[int], distance: DistanceFn = None
-) -> Optional[float]:
-    """Stable radius: half the closest neighbor-center distance.
-
-    Returns None when the neighbor set is empty, in which case the whole ball
-    is stable.
-    """
-    ids = np.asarray(neighbor_ids, dtype=int)
-    if ids.size == 0:
-        return None
-    fn = distance if distance is not None else euclidean()
-    centers = np.asarray(centers, dtype=float)
-    return 0.5 * min(float(fn.eval(centers[i], centers[j])) for j in ids)
 
 
 def annular_regions(
@@ -585,37 +514,6 @@ def lloyd_run(
         history=history if record_history else None,
     )
     return result, stats
-
-
-def ball_geometry(
-    ds: Dataset, clustering: Clustering, distance: DistanceFn = None
-) -> list[BallCluster]:
-    """Per-cluster ball structure of a finished clustering.
-
-    Fills in each cluster's neighbor set (sorted by center distance, ties by
-    index), stable radius (None when the ball has no neighbors) and annular
-    boundaries; uncounted, purely diagnostic.
-    """
-    fn = distance if distance is not None else euclidean()
-    centers = clustering.centers
-    k = centers.shape[0]
-    out = []
-    for i in range(k):
-        mem = np.flatnonzero(clustering.assignments == i)
-        nbr = neighbors(centers, clustering.radii, i, fn)
-        order = sorted(nbr, key=lambda j: (float(fn.eval(centers[i], centers[j])), j))
-        dists = np.array([float(fn.eval(centers[i], centers[j])) for j in order])
-        out.append(
-            BallCluster(
-                center=centers[i],
-                radius=float(clustering.radii[i]),
-                members=mem,
-                stable_radius=(0.5 * float(dists[0])) if dists.size else None,
-                neighbors=np.array(order, dtype=int),
-                annuli=dists / 2.0,
-            )
-        )
-    return out
 
 
 def _full_scan(rows, x: np.ndarray, centers: np.ndarray) -> np.ndarray:

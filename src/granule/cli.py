@@ -15,7 +15,6 @@ import csv
 import hashlib
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -88,18 +87,6 @@ def _digest_bytes(data: bytes) -> str:
 def _digest_file(path: str) -> str:
     with open(path, "rb") as fh:
         return _digest_bytes(fh.read())
-
-
-def _threads_from_env() -> int:
-    """GRANULE_THREADS caps worker parallelism; outputs never depend on it."""
-    raw = os.environ.get("GRANULE_THREADS", "1")
-    try:
-        val = int(raw)
-    except ValueError as exc:
-        raise IngestionError(f"GRANULE_THREADS must be an integer, got {raw!r}") from exc
-    if val < 1:
-        raise IngestionError("GRANULE_THREADS must be at least 1")
-    return val
 
 
 def load_csv(path: str, label_column: Optional[str] = None) -> LabeledDataset:
@@ -712,7 +699,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        _threads_from_env()
         if args.command == "cluster":
             return _cmd_cluster(args, lloyd=False)
         if args.command == "lloyd":

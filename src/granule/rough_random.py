@@ -56,6 +56,7 @@ class ApproxSpace:
     def __post_init__(self):
         self.universe = tuple(self.universe)
         self._memo: dict = {}
+        self._pos = {el: i for i, el in enumerate(self.universe)}
 
     def approx(self, x: frozenset) -> tuple[frozenset, frozenset]:
         x = frozenset(x)
@@ -67,8 +68,7 @@ class ApproxSpace:
 
     def subset_order(self, x: frozenset) -> tuple:
         """Canonical sort key: bitmask over the universe order."""
-        pos = {el: i for i, el in enumerate(self.universe)}
-        return (sum(1 << pos[el] for el in x),)
+        return (sum(1 << self._pos[el] for el in x),)
 
 
 def pawlak_space(universe: Sequence, blocks: Sequence[Sequence]) -> ApproxSpace:

@@ -12,16 +12,11 @@ from granule.ball_kmeans import (
     Dataset,
     Init,
     annular_regions,
-    ball_geometry,
-    compute_center,
-    compute_radius,
     init_clusters,
     lloyd_run,
-    neighbors,
     prune_neighbor_check,
     reassign,
     run,
-    stable_region,
 )
 from granule.metrics import Kind, chebyshev, euclidean, forward_gap, manhattan, squared_euclidean
 
@@ -63,6 +58,11 @@ def brute_force_assign(x, centers, assign):
     first = d.argmin(axis=1)
     cur = d[np.arange(x.shape[0]), assign]
     return np.where(cur == best, assign, first)
+
+
+def both_runs(ds, cfg):
+    """The clusterings of ``run`` and ``lloyd_run``."""
+    return run(ds, cfg)[0], lloyd_run(ds, cfg)[0]
 
 
 class TestDataset:
@@ -120,40 +120,71 @@ class TestInit:
 
 class TestGeometry:
     def test_center_examples(self):
-        ds = Dataset(np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 1.0], [3.0, 5.0], [5.0, 3.0]]))
-        assert np.allclose(compute_center(ds, [0, 1]), [1.0, 0.0])
-        assert np.allclose(compute_center(ds, [3]), [3.0, 5.0])
-        assert np.allclose(compute_center(ds, [2, 3, 4]), [3.0, 3.0])
-        with pytest.raises(ValueError):
-            compute_center(ds, [])
+        ds = Dataset(np.array([[0.0, 0.0], [2.0, 0.0], [10.0, 10.0], [12.0, 10.0]]))
+        for seed in range(4):
+            for clustering in both_runs(ds, BkmConfig(k=2, seed=seed)):
+                assert sorted(map(tuple, clustering.centers.tolist())) == [(1.0, 0.0), (11.0, 10.0)]
 
     def test_radius_examples(self):
-        ds = Dataset(np.array([[0.0, 0.0], [2.0, 0.0]]))
-        assert compute_radius(ds, [0], ds.points[0]) == 0.0
-        assert compute_radius(ds, [0, 1], np.array([1.0, 0.0])) == 1.0
+        ds = Dataset(np.array([[0.0], [2.0], [7.0]]))
+        for seed in range(4):
+            for clustering in both_runs(ds, BkmConfig(k=2, seed=seed)):
+                assert sorted(clustering.radii.tolist()) == [0.0, 1.0]  # {0, 2} about 1, {7} alone
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25)
     def test_radius_matches_brute_force(self, seed):
         rng = np.random.default_rng(seed)
-        pts = rng.normal(0, 3, (5, 3))
-        ds = Dataset(pts)
-        center = pts.mean(axis=0)
-        expected = max(np.sqrt(((p - center) ** 2).sum()) for p in pts)
-        assert compute_radius(ds, range(5), center) == pytest.approx(expected, abs=1e-12)
+        x = rng.normal(0, 3, (20, 3))
+        for clustering in both_runs(Dataset(x), BkmConfig(k=3, seed=seed)):
+            for i, center in enumerate(clustering.centers):
+                members = x[clustering.assignments == i]
+                assert np.allclose(center, members.mean(axis=0), rtol=0, atol=1e-12)
+                expected = np.sqrt(((members - center) ** 2).sum(axis=1)).max()
+                assert clustering.radii[i] == pytest.approx(expected, abs=1e-12)
+
+    @staticmethod
+    def _run_from(x, k, groups):
+        """``run`` from the first seed whose initial partition is ``groups``."""
+        ds = Dataset(np.array(x))
+        seed = next(
+            s for s in range(1000)
+            if sorted(c.tolist() for c in init_clusters(ds, BkmConfig(k=k, seed=s))) == groups
+        )
+        return run(ds, BkmConfig(k=k, seed=seed))
 
     def test_neighbor_examples(self):
-        centers = np.array([[0.0], [3.0]])
-        assert neighbors(centers, [2.0, 2.0], 0).tolist() == [1]  # 3 < 4
-        centers = np.array([[0.0], [5.0]])
-        assert neighbors(centers, [2.0, 2.0], 0).tolist() == []  # 5 >= 4
-        assert neighbors(np.array([[0.0], [0.0]]), [0.0, 0.0], 0).tolist() == []
+        # cluster j neighbors i iff d(c_i, c_j) < 2 r_i, strictly; the starting
+        # partitions below are Lloyd-stable, so each run is one iteration
+        _, stats = self._run_from([[-1.0, 0.0], [1.0, 0.0], [0.0, 1.9]], 2, [[0, 1], [2]])
+        assert stats.iterations == 1
+        assert stats.neighbor_free_stable_clusters == 1  # 1.9 < 2: (+-1, 0) lie in an annulus
+        assert stats.distance_computations == 3 + 1 + 2  # own, center pair, two annulus points
+        _, stats = self._run_from([[-1.0, 0.0], [1.0, 0.0], [0.0, 2.0]], 2, [[0, 1], [2]])
+        assert stats.iterations == 1
+        assert stats.neighbor_free_stable_clusters == 2  # 2 >= 2: no neighbors, all stable
+        assert stats.distance_computations == 3 + 1
+        _, stats = self._run_from([[0.0], [0.0]], 2, [[0], [1]])
+        assert stats.neighbor_free_stable_clusters == 2  # 0 < 2 * 0 fails for coincident centers
 
-    def test_stable_region_examples(self):
-        centers = np.array([[0.0], [3.0], [4.0]])
-        assert stable_region(centers, 0, [1]) == 1.5
-        assert stable_region(centers, 0, []) is None
-        assert stable_region(centers, 0, [1, 2]) == 1.5
+    def test_stable_radius_examples(self):
+        # the stable radius of cluster 0 is half its nearest neighbor distance:
+        # 0.5 from B at distance 1, not 0.6 from C at distance 1.2
+        x = np.array(
+            [[-1.0, 0.0], [1.0, 0.0], [0.0, 0.5], [0.0, -0.5], [0.55, 0.0], [-0.55, 0.0]]
+            + [[0.0, 1.0], [0.0, -1.2]]  # B, C
+        )
+        assign = np.array([0, 0, 0, 0, 0, 0, 1, 2])
+        centers = np.array([[0.0, 0.0], [0.0, 1.0], [0.0, -1.2]])
+        radii = np.array([1.0, 0.0, 0.0])
+        log = []
+        new_assign, moved = reassign(
+            Dataset(x), centers, radii, assign, distance=counting(euclidean(), log)
+        )
+        assert moved == 0 and np.array_equal(new_assign, assign)
+        # (0, +-0.5) sit on the stable radius and stay stable; (+-0.55, 0) lie in the first
+        # annulus (0.5, 0.6] with one candidate, (+-1, 0) in the second with two
+        assert [m for _, m in log] == [8, 3, 2 * 1 + 2 * 2]
 
     def test_annulus_boundaries(self):
         bounds, labels = annular_regions(np.array([1.4]), np.array([2.0, 3.0, 4.0]), 2.0)
@@ -330,21 +361,6 @@ class TestRun:
             fast, _ = run(Dataset(x), cfg, record_history=True)
             naive, _ = lloyd_run(Dataset(x), cfg, record_history=True)
             assert all(np.array_equal(a, b) for a, b in zip(fast.history, naive.history))
-
-    def test_ball_geometry_structure(self):
-        ds = Dataset(make_blobs(80, 2, 3, seed=33))
-        clustering, _ = run(ds, BkmConfig(k=3, seed=6))
-        balls = ball_geometry(ds, clustering)
-        assert len(balls) == 3
-        covered = np.sort(np.concatenate([b.members for b in balls]))
-        assert np.array_equal(covered, np.arange(80))
-        for ball in balls:
-            if ball.neighbors.size:
-                assert ball.stable_radius == ball.annuli[0]
-                assert np.all(np.diff(ball.annuli) >= 0)
-                assert ball.stable_radius <= ball.radius
-            else:
-                assert ball.stable_radius is None
 
     def test_tie_report_lists_equidistant_points(self):
         x = np.array([[0.0], [2.0], [1.0]])

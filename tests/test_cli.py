@@ -251,11 +251,6 @@ class TestCommands:
         code = main(["cluster", "--input", str(tmp_path / "nope.csv"), "--k", "2", "--seed", "0"])
         assert code == EXIT_INGEST
 
-    def test_bad_thread_env(self, blob_csv, tmp_path, monkeypatch):
-        monkeypatch.setenv("GRANULE_THREADS", "zero")
-        code = main(["cluster", "--input", blob_csv, "--k", "2", "--seed", "0"])
-        assert code == EXIT_INGEST
-
 
 class TestDeterminism:
     def test_reruns_are_byte_identical(self, blob_csv, tmp_path):
@@ -264,10 +259,8 @@ class TestDeterminism:
         _, second = run_to_file(args, tmp_path / "b.json")
         assert first == second
 
-    def test_thread_env_does_not_change_bytes(self, blob_csv, tmp_path, monkeypatch):
+    def test_bench_reruns_are_byte_identical(self, blob_csv, tmp_path):
         args = ["bench", "--input", blob_csv, "--labels", "class", "--k", "2", "--seed", "3"]
-        monkeypatch.setenv("GRANULE_THREADS", "1")
-        _, one = run_to_file(args, tmp_path / "t1.json")
-        monkeypatch.setenv("GRANULE_THREADS", "4")
-        _, four = run_to_file(args, tmp_path / "t4.json")
-        assert one == four
+        _, first = run_to_file(args, tmp_path / "a.json")
+        _, second = run_to_file(args, tmp_path / "b.json")
+        assert first == second

@@ -254,7 +254,7 @@ class TestExistentialGranule:
         ds = Dataset(x)
         clustering, _ = run(ds, BkmConfig(k=2, seed=0, init=Init.PLUS_PLUS))
         op = ball_refinement_operator(ds)
-        for members in clustering.member_sets():
+        for members in [np.flatnonzero(clustering.assignments == i) for i in range(clustering.k)]:
             g = frozenset(int(i) for i in members)
             assert is_existential_granule(g, op, range(ds.n), seeds=[g])
 

@@ -246,6 +246,16 @@ class TestApproximationSet:
         out = approximation_set(space, exhaustive_limit=10)
         assert len(out) == 2**10
 
+    def test_partition_fallback_follows_universe_mask_order(self):
+        universe = [9, 4, 7, 1, 8, 2, 6]
+        blocks = [[4, 2], [9], [8, 1, 6], [7]]
+        space = pawlak_space(universe, blocks)
+        out = approximation_set(space, exhaustive_limit=3)
+        mask = lambda x: sum(1 << universe.index(el) for el in x)
+        unions = {frozenset(el for b in range(4) if m >> b & 1 for el in blocks[b]) for m in range(16)}
+        assert out == sorted(unions, key=mask)
+        assert out != sorted(unions, key=lambda x: sum(1 << el for el in x))  # not element order
+
     def test_budget_error_for_opaque_large_space(self):
         with pytest.raises(BudgetError):
             approximation_set(identity_space(range(20)), exhaustive_limit=10)
