@@ -19,7 +19,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .metrics import DistanceFn, euclidean
+from .metrics import DistanceFn, euclidean, row_distances
 
 __all__ = [
     "AmbientBall",
@@ -92,7 +92,7 @@ class AmbientBall:
             raise ValueError("radius must be nonnegative")
 
     def contains(self, x: np.ndarray) -> bool:
-        return float(self.distance.eval(np.asarray(x, dtype=float), self.center)) <= self.radius
+        return bool(_inside(self, np.atleast_1d(np.asarray(x, dtype=float))[None])[0])
 
 
 @dataclass(frozen=True)
@@ -119,9 +119,7 @@ class CautiousBall:
         fn = distance if distance is not None else euclidean()
         ambient = AmbientBall(center=center, radius=radius, distance=fn)
         v = np.atleast_2d(np.asarray(points, dtype=float))
-        members = tuple(
-            int(i) for i in range(v.shape[0]) if ambient.contains(v[i])
-        )
+        members = tuple(int(i) for i in np.flatnonzero(_inside(ambient, v)))
         return cls(ambient=ambient, points=v, members=members)
 
     def locate(self, x: np.ndarray) -> Optional[int]:
@@ -138,21 +136,48 @@ class CautiousBall:
 Ball = Union[AmbientBall, CautiousBall]
 
 
+def _inside(ball: Ball, x: np.ndarray) -> np.ndarray:
+    """Carrier membership of a stack of vectors, (..., d) -> (...)."""
+    flat = x.reshape(-1, x.shape[-1])
+    if isinstance(ball, CautiousBall):
+        keys = map(tuple, flat.tolist())
+        inside = np.array([ball._index.get(k) in ball._member_set for k in keys], dtype=bool)
+    else:
+        inside = row_distances(ball.distance, flat, ball.center) <= ball.radius
+    return inside.reshape(x.shape[:-1])
+
+
+def _scaled_sum(ball: Ball, alpha, a: np.ndarray, beta, b: np.ndarray) -> tuple:
+    """alpha a + beta b over broadcast stacks of vectors, with its defined mask.
+
+    On the cautious ball alpha a and beta b must be members too.
+    """
+    v = alpha * a + beta * b
+    defined = _inside(ball, v)
+    if isinstance(ball, CautiousBall):
+        defined = defined & _inside(ball, alpha * a) & _inside(ball, beta * b)
+    return v, defined
+
+
 def _require_operand(ball: Ball, x: np.ndarray, label: str) -> None:
     if not ball.contains(x):
         raise BallDomainError(f"operand {label}={np.asarray(x).tolist()} lies outside the ball")
+
+
+def _operation(ball: Ball, alpha: float, a, beta: float, b) -> PartialValue:
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    b = np.atleast_1d(np.asarray(b, dtype=float))
+    _require_operand(ball, a, "a")
+    _require_operand(ball, b, "b")
+    v, defined = _scaled_sum(ball, alpha, a[None], beta, b[None])
+    return PartialValue.of(v[0]) if defined[0] else PartialValue.undefined()
 
 
 def oplus(
     ball: AmbientBall, alpha: float, a: np.ndarray, beta: float, b: np.ndarray
 ) -> PartialValue:
     """alpha a + beta b on the ambient ball, defined iff the sum stays inside."""
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    _require_operand(ball, a, "a")
-    _require_operand(ball, b, "b")
-    v = alpha * a + beta * b
-    return PartialValue.of(v) if ball.contains(v) else PartialValue.undefined()
+    return _operation(ball, alpha, a, beta, b)
 
 
 def ovee(
@@ -163,14 +188,7 @@ def ovee(
     Defined iff alpha a, beta b and the sum are all members of the trace
     (hence elements of V, matched by exact coordinate identity).
     """
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    _require_operand(ball, a, "a")
-    _require_operand(ball, b, "b")
-    v = alpha * a + beta * b
-    if ball.contains(alpha * a) and ball.contains(beta * b) and ball.contains(v):
-        return PartialValue.of(v)
-    return PartialValue.undefined()
+    return _operation(ball, alpha, a, beta, b)
 
 
 def scalar_mul(ball: Ball, alpha: float, a: np.ndarray) -> PartialValue:
@@ -178,13 +196,7 @@ def scalar_mul(ball: Ball, alpha: float, a: np.ndarray) -> PartialValue:
     a = np.atleast_1d(np.asarray(a, dtype=float))
     _require_operand(ball, a, "a")
     v = alpha * a
-    return PartialValue.of(v) if ball.contains(v) else PartialValue.undefined()
-
-
-def _combine(ball: Ball, alpha, a, beta, b) -> PartialValue:
-    if isinstance(ball, CautiousBall):
-        return ovee(ball, alpha, a, beta, b)
-    return oplus(ball, alpha, a, beta, b)
+    return PartialValue.of(v) if _inside(ball, v[None])[0] else PartialValue.undefined()
 
 
 @dataclass
@@ -216,133 +228,94 @@ class LawReport:
         )
 
 
-def _law_suite(ball: Ball, sample: list, grid, tol: float, cautious: bool) -> tuple[dict, int]:
-    """Exhaustive law checks over the member sample; first counterexample kept."""
-    laws: dict[str, LawResult] = {}
-    zero = np.zeros_like(sample[0])
-    has_zero = ball.contains(zero)
+def _weak_violation(lhs: tuple, rhs: tuple, tol: float) -> np.ndarray:
+    """Cases where ``weak_equal`` fails, for (value, defined) pairs of stacks."""
+    return lhs[1] & rhs[1] & ~np.all(np.abs(lhs[0] - rhs[0]) <= tol, axis=-1)
 
-    def record(name, ok, count, witness, note=""):
-        laws[name] = LawResult(holds=ok, checked=count, counterexample=witness, note=note)
 
-    # weak* commutativity: a (+) b vs b (+) a
-    ok, count, witness = True, 0, None
-    for ia, a in enumerate(sample):
-        for ib, b in enumerate(sample):
-            count += 1
-            if not weak_star_equal(
-                _combine(ball, 1.0, a, 1.0, b), _combine(ball, 1.0, b, 1.0, a), tol
-            ):
-                ok, witness = False, (ia, ib)
+def _star_violation(lhs: tuple, rhs: tuple, tol: float) -> np.ndarray:
+    """Cases where ``weak_star_equal`` fails."""
+    return (lhs[1] != rhs[1]) | _weak_violation(lhs, rhs, tol)
+
+
+def _law(blocks, axes: tuple, stop: bool = True, note: str = "") -> LawResult:
+    """First violation of a row-major case grid, given as its blocks along the first axis.
+
+    ``checked`` counts the cases up to it when ``stop``, else the whole grid;
+    the witness maps its index through ``axes`` (scalar grids or ranges).
+    """
+    checked, first = 0, None
+    for k, viol in enumerate(blocks):
+        hits = np.flatnonzero(viol)
+        if hits.size and first is None:
+            first = (k, *np.unravel_index(hits[0], np.shape(viol)))
+            if stop:
+                checked += int(hits[0]) + 1
                 break
-        if not ok:
-            break
-    record("weak_star_comm", ok, count, witness)
+        checked += np.size(viol)
+    witness = None if first is None else tuple(ax[i] for ax, i in zip(axes, first))
+    return LawResult(holds=first is None, checked=checked, counterexample=witness, note=note)
 
-    # weak associativity: a (+) (b (+) c) vs (a (+) b) (+) c
-    ok, count, witness = True, 0, None
-    for ia, a in enumerate(sample):
-        for ib, b in enumerate(sample):
-            for ic, c in enumerate(sample):
-                count += 1
-                inner_r = _combine(ball, 1.0, b, 1.0, c)
-                lhs = (
-                    _combine(ball, 1.0, a, 1.0, inner_r.value)
-                    if inner_r.defined
-                    else PartialValue.undefined()
-                )
-                inner_l = _combine(ball, 1.0, a, 1.0, b)
-                rhs = (
-                    _combine(ball, 1.0, inner_l.value, 1.0, c)
-                    if inner_l.defined
-                    else PartialValue.undefined()
-                )
-                if not weak_equal(lhs, rhs, tol):
-                    ok, witness = False, (ia, ib, ic)
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    record("weak_assoc", ok, count, witness)
+
+def _law_suite(ball: Ball, s: np.ndarray, grid: tuple, tol: float) -> tuple[dict, int]:
+    """Every law family as an array test over the member sample ``s`` (one per row).
+
+    The families that stop at their first violation count the cases up to
+    it, as the row-major loop over the case grid would.  Associativity and
+    inverse go one first operand at a time: no (s, s, s) array is built.
+    """
+    idx = range(len(s))
+    a, b = s[:, None], s[None, :]
+    g = np.array(grid)
+    alpha, beta = g[:, None, None, None], g[None, :, None, None]
+    pair = _scaled_sum(ball, 1.0, a, 1.0, b)  # [ia, ib]: a (+) b
+
+    def scaled(c, x):
+        return c * x, _inside(ball, c * x)
+
+    def assoc(ia):  # [ib, ic]: a (+) (b (+) c) vs (a (+) b) (+) c
+        lhs_v, lhs_ok = _scaled_sum(ball, 1.0, s[ia], 1.0, pair[0])
+        rhs_v, rhs_ok = _scaled_sum(ball, 1.0, pair[0][ia][:, None], 1.0, b)
+        lhs, rhs = (lhs_v, lhs_ok & pair[1]), (rhs_v, rhs_ok & pair[1][ia][:, None])
+        return _weak_violation(lhs, rhs, tol)
+
+    swapped = _scaled_sum(ball, 1.0, b, 1.0, a)  # [ia, ib]: b (+) a
+    laws = {"weak_star_comm": _law(_star_violation(pair, swapped, tol), (idx, idx))}
+    laws["weak_assoc"] = _law(map(assoc, idx), (idx, idx, idx))
 
     # weak scal1: alpha (beta a) vs (alpha beta) a
-    ok, count, witness = True, 0, None
-    for alpha in grid:
-        for beta in grid:
-            for ia, a in enumerate(sample):
-                count += 1
-                inner = scalar_mul(ball, beta, a)
-                lhs = (
-                    scalar_mul(ball, alpha, inner.value)
-                    if inner.defined
-                    else PartialValue.undefined()
-                )
-                rhs = scalar_mul(ball, alpha * beta, a)
-                if not weak_equal(lhs, rhs, tol):
-                    ok, witness = False, (alpha, beta, ia)
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    record("weak_scal1", ok, count, witness)
+    inner_v, inner_ok = scaled(g[:, None, None], s)
+    lhs_v, lhs_ok = scaled(alpha, inner_v)
+    rhs = scaled((g[:, None] * g[None, :])[:, :, None, None], s)
+    lhs = (lhs_v, lhs_ok & inner_ok)
+    laws["weak_scal1"] = _law(_weak_violation(lhs, rhs, tol), (grid, grid, idx))
 
     # weak* scal2: alpha a (+) beta a vs (alpha + beta) a.  On the cautious
     # carrier only the combination-side-defined direction is provable (the
     # scalar side can be a member while the scaled parts left V), so there the
     # check is directional; the reverse gap is counted separately.
-    ok, count, witness, rev_gaps = True, 0, None, 0
-    for alpha in grid:
-        for beta in grid:
-            for ia, a in enumerate(sample):
-                count += 1
-                lhs = _combine(ball, alpha, a, beta, a)
-                rhs = scalar_mul(ball, alpha + beta, a)
-                if cautious:
-                    if lhs.defined and not (rhs.defined and weak_equal(lhs, rhs, tol)):
-                        if ok:
-                            ok, witness = False, (alpha, beta, ia)
-                    elif rhs.defined and not lhs.defined:
-                        rev_gaps += 1
-                else:
-                    if not weak_star_equal(lhs, rhs, tol):
-                        if ok:
-                            ok, witness = False, (alpha, beta, ia)
-    note = "directional: combination defined => scalar side defined" if cautious else ""
-    record("weak_star_scal2", ok, count, witness, note)
+    lhs, rhs = _scaled_sum(ball, alpha, s, beta, s), scaled(alpha + beta, s)
+    if isinstance(ball, CautiousBall):
+        viol = (lhs[1] & ~rhs[1]) | _weak_violation(lhs, rhs, tol)
+        rev_gaps = int(np.sum(rhs[1] & ~lhs[1]))
+        note = "directional: combination defined => scalar side defined"
+    else:
+        viol, rev_gaps, note = _star_violation(lhs, rhs, tol), 0, ""
+    laws["weak_star_scal2"] = _law(viol, (grid, grid, idx), stop=False, note=note)
 
     # weak* 0: a (+) 0 vs 0 (+) a, vacuous when 0 is not in the carrier
-    ok, count, witness = True, 0, None
-    if has_zero:
-        for ia, a in enumerate(sample):
-            count += 1
-            if not weak_star_equal(
-                _combine(ball, 1.0, a, 1.0, zero), _combine(ball, 1.0, zero, 1.0, a), tol
-            ):
-                ok, witness = False, (ia,)
-                break
-        record("weak_star_zero", ok, count, witness)
+    zero = np.zeros_like(s[0])
+    if ball.contains(zero):
+        lhs, rhs = _scaled_sum(ball, 1.0, s, 1.0, zero), _scaled_sum(ball, 1.0, zero, 1.0, s)
+        laws["weak_star_zero"] = _law(_star_violation(lhs, rhs, tol), (idx,))
     else:
-        record("weak_star_zero", True, 0, None, "vacuous: 0 outside the carrier")
+        laws["weak_star_zero"] = LawResult(True, 0, None, "vacuous: 0 outside the carrier")
 
-    # inverse: a (+) b = 0 = a (+) c forces b = c
-    ok, count, witness = True, 0, None
-    for ia, a in enumerate(sample):
-        for ib, b in enumerate(sample):
-            ab = _combine(ball, 1.0, a, 1.0, b)
-            if not (ab.defined and np.all(np.abs(ab.value) <= tol)):
-                continue
-            for ic, c in enumerate(sample):
-                ac = _combine(ball, 1.0, a, 1.0, c)
-                if not (ac.defined and np.all(np.abs(ac.value) <= tol)):
-                    continue
-                count += 1
-                if not np.all(np.abs(b - c) <= 2.0 * tol):
-                    ok, witness = False, (ia, ib, ic)
-    record("inverse", ok, count, witness)
-
-    laws["_scal2_reverse_gaps"] = LawResult(True, 0, None, str(rev_gaps))
+    # inverse: a (+) b = 0 = a (+) c forces b = c; checked counts every such (a, b, c)
+    null = pair[1] & np.all(np.abs(pair[0]) <= tol, axis=-1)
+    near = np.all(np.abs(a - b) <= 2.0 * tol, axis=-1)
+    laws["inverse"] = _law((np.outer(z, z) & ~near for z in null), (idx, idx, idx))
+    laws["inverse"].checked = int(np.sum(null.sum(axis=1) ** 2))
     return laws, rev_gaps
 
 
@@ -359,40 +332,32 @@ def verify_laws(
     scalar/member tuples and reports the first properness witness (a tuple
     defined ambiently but not cautiously), when one exists.
     """
-    sample = cautious.member_points()
-    if not sample:
+    if not cautious.members:
         raise ValueError("cautious ball has no members to enumerate")
+    s = np.array(cautious.member_points(), dtype=float)
     grid = tuple(float(g) for g in scalar_grid)
+    for ball in (ambient, cautious):
+        # member 0 is first met as operand a, every later member as operand b
+        for i in np.flatnonzero(~_inside(ball, s))[:1]:
+            _require_operand(ball, s[i], "a" if i == 0 else "b")
 
-    amb_laws, _ = _law_suite(ambient, sample, grid, tol, cautious=False)
-    amb_laws.pop("_scal2_reverse_gaps")
-    cau_laws, rev_gaps = _law_suite(cautious, sample, grid, tol, cautious=True)
-    cau_laws.pop("_scal2_reverse_gaps")
+    amb_laws, _ = _law_suite(ambient, s, grid, tol)
+    cau_laws, rev_gaps = _law_suite(cautious, s, grid, tol)
 
-    contained = True
-    dom_count = 0
-    dom_witness = None
-    properness = None
-    for alpha in grid:
-        for beta in grid:
-            for ia, a in enumerate(sample):
-                for ib, b in enumerate(sample):
-                    dom_count += 1
-                    cautious_val = ovee(cautious, alpha, a, beta, b)
-                    ambient_val = oplus(ambient, alpha, a, beta, b)
-                    if cautious_val.defined and not ambient_val.defined:
-                        if contained:
-                            contained = False
-                            dom_witness = (alpha, beta, ia, ib)
-                    if properness is None and ambient_val.defined and not cautious_val.defined:
-                        properness = (alpha, beta, ia, ib)
-
+    # dom(cautious op) within dom(ambient op), one (alpha, beta) block at a time
+    cau, amb = (
+        np.array([_scaled_sum(ball, al, s[:, None], be, s[None, :])[1] for al in grid for be in grid])
+        .reshape(len(grid), len(grid), len(s), len(s))
+        for ball in (cautious, ambient)
+    )
+    axes = (grid, grid, range(len(s)), range(len(s)))
+    dom = _law(cau & ~amb, axes, stop=False)
     return LawReport(
         ambient=amb_laws,
         cautious=cau_laws,
-        dom_contained=contained,
-        dom_checked=dom_count,
-        dom_counterexample=dom_witness,
-        properness_witness=properness,
+        dom_contained=dom.holds,
+        dom_checked=dom.checked,
+        dom_counterexample=dom.counterexample,
+        properness_witness=_law(amb & ~cau, axes).counterexample,
         scal2_reverse_gaps=rev_gaps,
     )

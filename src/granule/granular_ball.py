@@ -197,7 +197,7 @@ def heterogeneous_overlap(b1: GranularBall, b2: GranularBall, distance: Distance
     if b1.majority_label == b2.majority_label:
         return False
     fn = distance if distance is not None else euclidean()
-    return float(fn.eval(b1.center, b2.center)) < b1.radius + b2.radius
+    return float(row_distances(fn, b1.center[None], b2.center)[0]) < b1.radius + b2.radius
 
 
 def _stop_reason(ball: GranularBall, depth: int, cfg: GbConfig) -> Optional[str]:

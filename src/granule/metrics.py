@@ -181,13 +181,25 @@ def _as_point(p) -> np.ndarray:
     return a
 
 
-def _checked_eval(fn: DistanceFn, a: np.ndarray, b: np.ndarray) -> float:
-    v = float(fn.eval(a, b))
-    if not math.isfinite(v) or v < 0.0:
+def _checked_matrix(fn: DistanceFn, h: Sequence, f: Sequence) -> np.ndarray:
+    """The (|h|, |f|) matrix of fn(h_i, f_j), one row-kernel call per column.  Refuses points of
+    different dimension, then the first negative or non-finite value in row-major order."""
+    hp = [_as_point(p) for p in h]
+    fp = [_as_point(p) for p in f]
+    odd = next((p for p in hp + fp if p.shape != hp[0].shape), None)
+    if odd is not None:
+        raise ValueError(f"points of different dimension: shapes {hp[0].shape} and {odd.shape}")
+    hm = np.array(hp)
+    dmat = np.empty((len(hp), len(fp)))
+    for j, b in enumerate(fp):
+        dmat[:, j] = row_distances(fn, hm, b)
+    bad = np.argwhere(~np.isfinite(dmat) | (dmat < 0.0))
+    if bad.size:
+        i, j = map(int, bad[0])
         raise MetricEvaluationError(
-            f"{fn.name} returned {v!r} on pair ({a.tolist()}, {b.tolist()})"
+            f"{fn.name} returned {float(dmat[i, j])!r} on pair ({hp[i].tolist()}, {fp[j].tolist()})"
         )
-    return v
+    return dmat
 
 
 def classify_distance(
@@ -203,15 +215,8 @@ def classify_distance(
     if tol < 0:
         raise ValueError("tol must be nonnegative")
     pts = [_as_point(p) for p in sample]
-    s = len(pts)
-    dmat = np.empty((s, s))
-    for i in range(s):
-        for j in range(s):
-            dmat[i, j] = _checked_eval(fn, pts[i], pts[j])
-
-    same = np.array(
-        [[np.array_equal(pts[i], pts[j]) for j in range(s)] for i in range(s)]
-    )
+    dmat = _checked_matrix(fn, pts, pts)
+    same = np.all(np.array(pts)[:, None, :] == np.array(pts)[None, :, :], axis=2)
     counterexamples: dict = {}
 
     def _pt(i):
@@ -285,25 +290,19 @@ def point_set_distance(fn: DistanceFn, x, h: Sequence) -> float:
     """Distance from point x to the finite set H, min over sigma(x, a)."""
     if len(h) == 0:
         raise EmptySetError("point-set distance against an empty set")
-    xv = _as_point(x)
-    return min(_checked_eval(fn, xv, _as_point(a)) for a in h)
+    return float(_checked_matrix(fn, [x], h).min())
 
 
 def hausdorff_distance(fn: DistanceFn, h: Sequence, f: Sequence) -> float:
     """Hausdorff distance between finite sets, max of the two sup-inf terms."""
     if len(h) == 0 or len(f) == 0:
         raise EmptySetError("hausdorff distance requires non-empty sets")
-    hp = [_as_point(p) for p in h]
-    fp = [_as_point(p) for p in f]
-    d_hf = max(min(_checked_eval(fn, x, b) for b in fp) for x in hp)
-    d_fh = max(min(_checked_eval(fn, a, y) for a in hp) for y in fp)
-    return max(d_hf, d_fh)
+    dmat = _checked_matrix(fn, h, f)
+    return float(max(dmat.min(axis=1).max(), dmat.min(axis=0).max()))
 
 
 def infimal_distance(fn: DistanceFn, h: Sequence, f: Sequence) -> float:
     """Infimal distance between finite sets, min over all cross pairs."""
     if len(h) == 0 or len(f) == 0:
         raise EmptySetError("infimal distance requires non-empty sets")
-    hp = [_as_point(p) for p in h]
-    fp = [_as_point(p) for p in f]
-    return min(_checked_eval(fn, a, b) for a in hp for b in fp)
+    return float(_checked_matrix(fn, h, f).min())

@@ -8,6 +8,8 @@ from granule.ball_algebra import (
     AmbientBall,
     BallDomainError,
     CautiousBall,
+    LawReport,
+    LawResult,
     PartialValue,
     oplus,
     ovee,
@@ -16,6 +18,7 @@ from granule.ball_algebra import (
     weak_equal,
     weak_star_equal,
 )
+from granule.metrics import chebyshev, euclidean, manhattan
 
 
 def int_line_ball(radius=3):
@@ -189,3 +192,264 @@ class TestVerifyLaws:
         cau = CautiousBall.build([0.0], 1.0, v)
         with pytest.raises(ValueError):
             verify_laws(amb, cau)
+
+
+# -- scalar oracle ------------------------------------------------------------
+# The law loops verify_laws ran before its families became array tests, on
+# their own eval-based membership, so that no code is shared with the library
+# beyond the ball classes.  The inverse family keeps its first violation.
+
+
+def _loop_contains(ball, x):
+    x = np.asarray(x, dtype=float)
+    if isinstance(ball, CautiousBall):
+        return ball.locate(x) in set(ball.members)
+    return float(ball.distance.eval(x, ball.center)) <= ball.radius
+
+
+def _loop_require(ball, x, label):
+    if not _loop_contains(ball, x):
+        raise BallDomainError(f"operand {label}={np.asarray(x).tolist()} lies outside the ball")
+
+
+def _loop_scalar_mul(ball, alpha, a):
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    _loop_require(ball, a, "a")
+    v = alpha * a
+    return PartialValue.of(v) if _loop_contains(ball, v) else PartialValue.undefined()
+
+
+def _loop_combine(ball, alpha, a, beta, b):
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    b = np.atleast_1d(np.asarray(b, dtype=float))
+    _loop_require(ball, a, "a")
+    _loop_require(ball, b, "b")
+    v = alpha * a + beta * b
+    ok = _loop_contains(ball, v)
+    if isinstance(ball, CautiousBall):
+        ok = _loop_contains(ball, alpha * a) and _loop_contains(ball, beta * b) and ok
+    return PartialValue.of(v) if ok else PartialValue.undefined()
+
+
+def _loop_law_suite(ball, sample, grid, tol, cautious):
+    laws = {}
+    zero = np.zeros_like(sample[0])
+    has_zero = _loop_contains(ball, zero)
+    comb = _loop_combine
+
+    def record(name, ok, count, witness, note=""):
+        laws[name] = LawResult(holds=ok, checked=count, counterexample=witness, note=note)
+
+    ok, count, witness = True, 0, None
+    for ia, a in enumerate(sample):
+        for ib, b in enumerate(sample):
+            count += 1
+            if not weak_star_equal(comb(ball, 1.0, a, 1.0, b), comb(ball, 1.0, b, 1.0, a), tol):
+                ok, witness = False, (ia, ib)
+                break
+        if not ok:
+            break
+    record("weak_star_comm", ok, count, witness)
+
+    ok, count, witness = True, 0, None
+    for ia, a in enumerate(sample):
+        for ib, b in enumerate(sample):
+            for ic, c in enumerate(sample):
+                count += 1
+                inner_r = comb(ball, 1.0, b, 1.0, c)
+                lhs = comb(ball, 1.0, a, 1.0, inner_r.value) if inner_r.defined else PartialValue.undefined()
+                inner_l = comb(ball, 1.0, a, 1.0, b)
+                rhs = comb(ball, 1.0, inner_l.value, 1.0, c) if inner_l.defined else PartialValue.undefined()
+                if not weak_equal(lhs, rhs, tol):
+                    ok, witness = False, (ia, ib, ic)
+                    break
+            if not ok:
+                break
+        if not ok:
+            break
+    record("weak_assoc", ok, count, witness)
+
+    ok, count, witness = True, 0, None
+    for alpha in grid:
+        for beta in grid:
+            for ia, a in enumerate(sample):
+                count += 1
+                inner = _loop_scalar_mul(ball, beta, a)
+                lhs = _loop_scalar_mul(ball, alpha, inner.value) if inner.defined else PartialValue.undefined()
+                rhs = _loop_scalar_mul(ball, alpha * beta, a)
+                if not weak_equal(lhs, rhs, tol):
+                    ok, witness = False, (alpha, beta, ia)
+                    break
+            if not ok:
+                break
+        if not ok:
+            break
+    record("weak_scal1", ok, count, witness)
+
+    ok, count, witness, rev_gaps = True, 0, None, 0
+    for alpha in grid:
+        for beta in grid:
+            for ia, a in enumerate(sample):
+                count += 1
+                lhs = comb(ball, alpha, a, beta, a)
+                rhs = _loop_scalar_mul(ball, alpha + beta, a)
+                if cautious:
+                    if lhs.defined and not (rhs.defined and weak_equal(lhs, rhs, tol)):
+                        if ok:
+                            ok, witness = False, (alpha, beta, ia)
+                    elif rhs.defined and not lhs.defined:
+                        rev_gaps += 1
+                elif not weak_star_equal(lhs, rhs, tol) and ok:
+                    ok, witness = False, (alpha, beta, ia)
+    note = "directional: combination defined => scalar side defined" if cautious else ""
+    record("weak_star_scal2", ok, count, witness, note)
+
+    ok, count, witness = True, 0, None
+    if has_zero:
+        for ia, a in enumerate(sample):
+            count += 1
+            if not weak_star_equal(comb(ball, 1.0, a, 1.0, zero), comb(ball, 1.0, zero, 1.0, a), tol):
+                ok, witness = False, (ia,)
+                break
+        record("weak_star_zero", ok, count, witness)
+    else:
+        record("weak_star_zero", True, 0, None, "vacuous: 0 outside the carrier")
+
+    ok, count, witness = True, 0, None
+    for ia, a in enumerate(sample):
+        for ib, b in enumerate(sample):
+            ab = comb(ball, 1.0, a, 1.0, b)
+            if not (ab.defined and np.all(np.abs(ab.value) <= tol)):
+                continue
+            for ic, c in enumerate(sample):
+                ac = comb(ball, 1.0, a, 1.0, c)
+                if not (ac.defined and np.all(np.abs(ac.value) <= tol)):
+                    continue
+                count += 1
+                if not np.all(np.abs(b - c) <= 2.0 * tol) and ok:
+                    ok, witness = False, (ia, ib, ic)
+    record("inverse", ok, count, witness)
+    return laws, rev_gaps
+
+
+def loop_verify_laws(ambient, cautious, scalar_grid=DEFAULT_SCALAR_GRID, tol=1e-9):
+    sample = cautious.member_points()
+    if not sample:
+        raise ValueError("cautious ball has no members to enumerate")
+    grid = tuple(float(g) for g in scalar_grid)
+    amb_laws, _ = _loop_law_suite(ambient, sample, grid, tol, cautious=False)
+    cau_laws, rev_gaps = _loop_law_suite(cautious, sample, grid, tol, cautious=True)
+    contained, dom_count, dom_witness, properness = True, 0, None, None
+    for alpha in grid:
+        for beta in grid:
+            for ia, a in enumerate(sample):
+                for ib, b in enumerate(sample):
+                    dom_count += 1
+                    cautious_val = _loop_combine(cautious, alpha, a, beta, b)
+                    ambient_val = _loop_combine(ambient, alpha, a, beta, b)
+                    if cautious_val.defined and not ambient_val.defined and contained:
+                        contained, dom_witness = False, (alpha, beta, ia, ib)
+                    if properness is None and ambient_val.defined and not cautious_val.defined:
+                        properness = (alpha, beta, ia, ib)
+    return LawReport(
+        ambient=amb_laws,
+        cautious=cau_laws,
+        dom_contained=contained,
+        dom_checked=dom_count,
+        dom_counterexample=dom_witness,
+        properness_witness=properness,
+        scal2_reverse_gaps=rev_gaps,
+    )
+
+
+NON_DYADIC_GRID = (-1.0, -0.1, 0.3, 1.0, 2.0)
+V_KINDS = ("integer", "tenth", "half", "normal")
+TOLS = (0.0, 1e-9, 1e-3, 0.5)
+METRICS = (euclidean, manhattan, chebyshev)
+
+
+def _v_points(rng, kind, n, d):
+    if kind == "integer":
+        return rng.integers(-2, 3, size=(n, d)).astype(float)
+    if kind == "tenth":
+        return np.round(rng.uniform(-1.5, 1.5, size=(n, d)), 1)
+    if kind == "half":
+        return rng.integers(-4, 5, size=(n, d)) / 2.0
+    return rng.normal(size=(n, d))
+
+
+def law_corpus(count=300, seed=2308):
+    """Seeded (name, ambient, cautious, grid, tol) fixtures over every kind, metric, tol and grid.
+
+    Every eighth fixture checks against an ambient ball of half the radius,
+    so that some members lie outside it.
+    """
+    rng = np.random.default_rng(seed)
+    out = []
+    for k in range(count):
+        d, kind = 1 + k % 3, V_KINDS[(k // 3) % 4]
+        fn, tol = METRICS[(k // 12) % 3], TOLS[(k // 36) % 4]
+        grid = NON_DYADIC_GRID if (k // 144) % 2 else DEFAULT_SCALAR_GRID
+        cau = None
+        while cau is None or not cau.members:
+            center = np.zeros(d) if rng.random() < 0.75 else np.round(rng.uniform(-1, 1, d), 1)
+            radius = float(rng.choice([0.5, 1.0, 1.5, 2.0]))
+            v = _v_points(rng, kind, int(rng.integers(3, 6)), d)
+            cau = CautiousBall.build(center, radius, v, distance=fn())
+        amb = cau.ambient if k % 8 else AmbientBall(center, radius / 2, distance=fn())
+        out.append((f"{k}:{kind}:{d}d:{fn().name}:tol={tol}", amb, cau, grid, tol))
+    return out
+
+
+def _outcome(verify, amb, cau, grid, tol):
+    """repr of the report (so witness types count too), or the domain error text."""
+    try:
+        return repr(verify(amb, cau, scalar_grid=grid, tol=tol))
+    except BallDomainError as exc:
+        return f"BallDomainError: {exc}"
+
+
+class TestLawOracle:
+    def test_array_suite_equals_scalar_loops_on_corpus(self):
+        failed = {"weak_assoc": 0, "weak_scal1": 0, "weak_star_scal2": 0, "domain": 0}
+        for name, amb, cau, grid, tol in law_corpus():
+            got = _outcome(verify_laws, amb, cau, grid, tol)
+            assert got == _outcome(loop_verify_laws, amb, cau, grid, tol), name
+            if got.startswith("BallDomainError"):
+                failed["domain"] += 1
+                continue
+            report = verify_laws(amb, cau, scalar_grid=grid, tol=tol)
+            for law in ("weak_assoc", "weak_scal1", "weak_star_scal2"):
+                failed[law] += not report.ambient[law].holds
+        # the corpus reaches each ambient failure and the domain error
+        assert all(failed.values()), failed
+
+    def test_domain_error_names_first_outside_member(self):
+        cau = CautiousBall.build([0.0], 2.0, np.array([[-2.0], [0.0], [1.0], [2.0]]))
+        with pytest.raises(BallDomainError, match=r"operand a=\[-2.0\]"):
+            verify_laws(AmbientBall([0.0], 1.5), cau)
+        with pytest.raises(BallDomainError, match=r"operand b=\[1.0\]"):
+            verify_laws(AmbientBall([-1.0], 1.5), cau)
+
+
+class TestBenchmarkFixture:
+    def test_radius_two_lattice_counts(self):
+        # the verifiers workload's ball: the integer lattice of [-2, 2]^2
+        v = np.array([[float(x), float(y)] for x in range(-2, 3) for y in range(-2, 3)])
+        cau = CautiousBall.build([0.0, 0.0], 2.0, v)
+        assert cau.members == (2, 6, 7, 8, 10, 11, 12, 13, 14, 16, 17, 18, 22)
+        report = verify_laws(cau.ambient, cau)
+        expected = {
+            "weak_star_comm": 169,
+            "weak_assoc": 2197,
+            "weak_scal1": 637,
+            "weak_star_scal2": 637,
+            "weak_star_zero": 13,
+            "inverse": 13,
+        }
+        for laws in (report.ambient, report.cautious):
+            assert {name: r.checked for name, r in laws.items()} == expected
+        assert report.all_hold
+        assert report.dom_checked == 8281
+        assert report.properness_witness == (-2.0, -2.0, 0, 10)
+        assert report.scal2_reverse_gaps == 80

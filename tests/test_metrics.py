@@ -1,11 +1,16 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from granule.ball_algebra import AmbientBall, CautiousBall, verify_laws
+from granule.granular_ball import GranularBall, heterogeneous_overlap
 from granule.metrics import (
+    NAMED_DISTANCES,
+    AxiomReport,
     DistanceFn,
     EmptySetError,
     Kind,
@@ -151,6 +156,19 @@ class TestSetDistances:
         with pytest.raises(EmptySetError):
             infimal_distance(euclidean(), [1.0], [])
 
+    def test_points_of_different_dimension_refused(self):
+        # numpy would broadcast the 1-element point against the 2-D ones
+        shapes = r"\(1,\) and \(2,\)"
+        with pytest.raises(ValueError, match=shapes):
+            hausdorff_distance(euclidean(), [[1.0]], [[2.0, 3.0]])
+        with pytest.raises(ValueError, match=shapes):
+            point_set_distance(euclidean(), [1.0], [[2.0, 3.0], [1.0, 1.0]])
+        with pytest.raises(ValueError, match=shapes):
+            infimal_distance(euclidean(), [[1.0], [2.0]], [[2.0, 3.0]])
+        with pytest.raises(ValueError, match=shapes):
+            classify_distance(euclidean(), [[1.0], [2.0, 3.0]])
+
+
     @given(points_1d, points_1d)
     def test_hausdorff_dominates_infimal(self, h, f):
         fn = euclidean()
@@ -182,3 +200,184 @@ class TestRowKernels:
                 assert fn.rows(a, b).tobytes() == ref.tobytes()
                 assert row_distances(bare, a, b).tobytes() == ref.tobytes()
                 assert row_distances(bare, a, b[0]).tobytes() == fn.rows(a, b[0]).tobytes()
+
+
+# -- loop oracle ---------------------------------------------------------------
+# The per-pair checked-eval loops the four functions ran before they shared
+# one checked distance matrix.
+
+
+def loop_checked_eval(fn, a, b):
+    v = float(fn.eval(a, b))
+    if not math.isfinite(v) or v < 0.0:
+        raise MetricEvaluationError(f"{fn.name} returned {v!r} on pair ({a.tolist()}, {b.tolist()})")
+    return v
+
+
+def _loop_point(p):
+    return np.atleast_1d(np.asarray(p, dtype=float))
+
+
+def loop_classify_distance(fn, sample, tol=1e-9):
+    pts = [_loop_point(p) for p in sample]
+    s = len(pts)
+    dmat = np.empty((s, s))
+    for i in range(s):
+        for j in range(s):
+            dmat[i, j] = loop_checked_eval(fn, pts[i], pts[j])
+    same = np.array([[np.array_equal(pts[i], pts[j]) for j in range(s)] for i in range(s)])
+    counterexamples = {}
+
+    def _pt(i):
+        return float(pts[i][0]) if pts[i].size == 1 else tuple(pts[i].tolist())
+
+    pseudo = True
+    bad = np.argwhere(~same & (dmat <= tol))
+    if bad.size:
+        i, j = map(int, bad[0])
+        pseudo = False
+        counterexamples["pseudo_identity"] = (_pt(i), _pt(j), float(dmat[i, j]))
+    identity = pseudo
+    diag_bad = np.argwhere(same & (dmat != 0.0))
+    if diag_bad.size:
+        i, j = map(int, diag_bad[0])
+        identity = False
+        counterexamples.setdefault("identity", (_pt(i), _pt(j), float(dmat[i, j])))
+    elif not pseudo:
+        counterexamples["identity"] = counterexamples["pseudo_identity"]
+    symmetry = True
+    asym = np.argwhere(np.triu(np.abs(dmat - dmat.T) > tol, k=1))
+    if asym.size:
+        i, j = map(int, asym[0])
+        symmetry = False
+        counterexamples["symmetry"] = (_pt(i), _pt(j), float(dmat[i, j]), float(dmat[j, i]))
+    sums = dmat[:, None, :] + dmat.T[None, :, :]
+    tri_viol = dmat[:, :, None] > sums + tol
+    triangle = not tri_viol.any()
+    if not triangle:
+        i, j, c = map(int, np.argwhere(tri_viol)[0])
+        counterexamples["triangle"] = (_pt(i), _pt(j), _pt(c), float(dmat[i, j]), float(dmat[i, c] + dmat[c, j]))
+    if fn.declared_kind is Kind.WEAK_QUASIMETRIC and fn.declared_k is not None:
+        k_used = float(fn.declared_k)
+        k_holds = bool((k_used * dmat[:, :, None] <= sums + tol).all())
+        if not k_holds:
+            i, j, c = map(int, np.argwhere(k_used * dmat[:, :, None] > sums + tol)[0])
+            counterexamples["k_triangle"] = (_pt(i), _pt(j), _pt(c), k_used)
+    else:
+        denom = np.where(dmat > tol, dmat, np.inf)[:, :, None]
+        ratios = np.where(dmat[:, :, None] > tol, (sums + tol) / denom, np.inf)
+        k_used = float(ratios.min())
+        k_holds = k_used > 0.0
+        if not k_holds:
+            i, j, c = map(int, np.argwhere(ratios == k_used)[0])
+            counterexamples["k_triangle"] = (_pt(i), _pt(j), _pt(c), k_used)
+    order = ["identity", "symmetry", "triangle", "k_triangle", "pseudo_identity"]
+    witness = next((counterexamples[n] for n in order if n in counterexamples), None)
+    return AxiomReport(identity, symmetry, triangle, (k_holds, k_used), pseudo, witness, counterexamples)
+
+
+def loop_point_set_distance(fn, x, h):
+    xv = _loop_point(x)
+    return min(loop_checked_eval(fn, xv, _loop_point(a)) for a in h)
+
+
+def loop_hausdorff_distance(fn, h, f):
+    hp = [_loop_point(p) for p in h]
+    fp = [_loop_point(p) for p in f]
+    d_hf = max(min(loop_checked_eval(fn, x, b) for b in fp) for x in hp)
+    d_fh = max(min(loop_checked_eval(fn, a, y) for a in hp) for y in fp)
+    return max(d_hf, d_fh)
+
+
+def loop_infimal_distance(fn, h, f):
+    hp = [_loop_point(p) for p in h]
+    fp = [_loop_point(p) for p in f]
+    return min(loop_checked_eval(fn, a, b) for a in hp for b in fp)
+
+
+def _nan_beyond() -> DistanceFn:
+    # NaN once the first coordinates sum past 2.5, euclidean otherwise
+    base = euclidean()
+    return DistanceFn(
+        name="nan-beyond",
+        eval=lambda a, b: float("nan") if a[0] + b[0] > 2.5 else base.eval(a, b),
+        rows=lambda m, v: np.where(m[:, 0] + v[..., 0] > 2.5, np.nan, base.rows(m, v)),
+    )
+
+
+def _signed_gap() -> DistanceFn:
+    # negative whenever a[0] > b[0]
+    return DistanceFn(
+        name="signed-gap",
+        eval=lambda a, b: float(b[0] - a[0]),
+        rows=lambda m, v: v[..., 0] - m[:, 0],
+    )
+
+
+def _oracle_distances():
+    fns = [factory() for factory in NAMED_DISTANCES.values()] + [_nan_beyond(), _signed_gap()]
+    return fns + [dataclasses.replace(fn, name=fn.name + "/eval", rows=None) for fn in fns]
+
+
+def _outcome(f, *args):
+    """("value", result) or ("error", type, text); repr keeps report field types."""
+    try:
+        out = f(*args)
+    except ValueError as exc:
+        return ("error", type(exc).__name__, str(exc))
+    return ("value", repr(out) if isinstance(out, AxiomReport) else out, type(out))
+
+
+class TestLoopOracle:
+    def test_matrix_paths_equal_checked_eval_loops(self):
+        rng = np.random.default_rng(16157)
+        pairs = [
+            (classify_distance, loop_classify_distance),
+            (point_set_distance, loop_point_set_distance),
+            (hausdorff_distance, loop_hausdorff_distance),
+            (infimal_distance, loop_infimal_distance),
+        ]
+        cases = errors = 0
+        for trial in range(60):
+            d = 1 + trial % 2
+            if trial % 3 == 0:
+                draw = lambda n: rng.integers(0, 4, size=(n, d)).astype(float)  # noqa: E731
+            else:
+                draw = lambda n: np.round(rng.normal(1.0, 1.5, size=(n, d)), 1 + trial % 4)  # noqa: E731
+            h, f = draw(int(rng.integers(1, 7))), draw(int(rng.integers(1, 7)))
+            sample = list(np.concatenate([h, h[:1]])) if trial % 5 == 0 else list(h)
+            for fn in _oracle_distances():
+                args = [(fn, sample), (fn, f[0], list(h)), (fn, list(h), list(f)), (fn, list(h), list(f))]
+                for (new, old), a in zip(pairs, args):
+                    got = _outcome(new, *a)
+                    assert got == _outcome(old, *a), (fn.name, new.__name__, trial)
+                    cases += 1
+                    errors += got[0] == "error"
+        assert cases == 60 * 14 * 4 and errors > 100
+
+
+def _eval_refused(a, b):
+    raise AssertionError("scalar eval called")
+
+
+class TestOneKernel:
+    def test_library_distances_never_call_eval(self):
+        # every distance in the library goes through row_distances, so a
+        # DistanceFn with a row kernel needs no working eval
+        ref = euclidean()
+        fn = DistanceFn("rows-only", eval=_eval_refused, declared_kind=Kind.METRIC, rows=ref.rows)
+        v = np.array([[float(x), float(y)] for x in range(-2, 3) for y in range(-2, 3)])
+        cau = CautiousBall.build([0.0, 0.0], 1.5, v, distance=fn)
+        assert cau.members == CautiousBall.build([0.0, 0.0], 1.5, v).members
+        assert cau.ambient.contains([1.0, 1.0]) and not cau.ambient.contains([2.0, 1.0])
+        assert verify_laws(cau.ambient, cau) == verify_laws(AmbientBall([0.0, 0.0], 1.5), cau)
+        sample = [0.0, 1.0, 2.5]
+        assert classify_distance(fn, sample) == classify_distance(ref, sample)
+        h, f = [[0.0, 1.0], [2.0, 2.0]], [[1.0, 1.0], [3.0, 0.0], [0.5, 0.5]]
+        for g in (fn, ref):
+            assert point_set_distance(g, [0.0, 0.0], f) == point_set_distance(ref, [0.0, 0.0], f)
+            assert hausdorff_distance(g, h, f) == hausdorff_distance(ref, h, f)
+            assert infimal_distance(g, h, f) == infimal_distance(ref, h, f)
+        b1 = GranularBall(np.array([0.0, 0.0]), 1.0, (0,), 1.0, 0)
+        b2 = GranularBall(np.array([1.5, 0.0]), 1.0, (1,), 1.0, 1)
+        assert heterogeneous_overlap(b1, b2, fn)
