@@ -13,11 +13,11 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import math
 import sys
 import time
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -60,70 +60,84 @@ class IngestionError(ValueError):
     pass
 
 
-@dataclass
-class RunManifest:
+def _manifest(command: str, seed: Optional[int], digest: str, config: dict) -> dict:
     """Provenance block embedded in every report; equal manifests => equal bytes."""
+    return {
+        "artifact_version": __version__,
+        "command": command,
+        "config": config,
+        "input_digest": digest,
+        "seed": seed,
+    }
 
-    command: str
-    seed: Optional[int]
-    input_digest: str
-    config: dict
-    artifact_version: str = __version__
 
-    def as_dict(self) -> dict:
-        return {
-            "artifact_version": self.artifact_version,
-            "command": self.command,
-            "config": self.config,
-            "input_digest": self.input_digest,
-            "seed": self.seed,
-        }
+def _fields(args, *names) -> dict:
+    return {name: getattr(args, name) for name in names}
 
 
 def _digest_bytes(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _digest_file(path: str) -> str:
-    with open(path, "rb") as fh:
-        return _digest_bytes(fh.read())
-
-
-def load_csv(path: str, label_column: Optional[str] = None) -> LabeledDataset:
-    """Read numeric feature rows with an optional label column.
-
-    The first row is a header iff any of its cells fails to parse as a
-    number.  A label column may be named (needs a header) or given as an
-    index; empty label cells mean unlabeled.  Non-integer label values are
-    encoded by their lexicographic rank.  Any ragged row or non-numeric
-    feature cell is an error naming the row.
-    """
+def _read(path: str) -> bytes:
     try:
-        with open(path, newline="") as fh:
-            rows = [row for row in csv.reader(fh)]
+        with open(path, "rb") as fh:
+            return fh.read()
     except OSError as exc:
         raise IngestionError(f"cannot read {path}: {exc}") from exc
-    rows = [row for row in rows if any(cell.strip() for cell in row)]
+
+
+def _text(data: bytes, newline: Optional[str] = None) -> io.TextIOWrapper:
+    """Decode with the default encoding `open` uses; newline as for `open`."""
+    return io.TextIOWrapper(io.BytesIO(data), newline=newline)
+
+
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+        return True
+    except ValueError:
+        return False
+
+
+def _is_int(text: str) -> bool:
+    """At most one leading '-' followed by decimal digits."""
+    return text.removeprefix("-").isdecimal()
+
+
+def load_csv(path: str, label_column: Optional[str] = None) -> tuple[LabeledDataset, str]:
+    """Read numeric feature rows with an optional label column.
+
+    Returns the dataset and the sha256 hex digest of the file, which is read
+    once, so the digest names exactly the bytes parsed.  Blank lines are
+    skipped.  The first other row is a header iff any of its cells fails to
+    parse as a number.  A label column may be named (needs a header) or
+    given as an index; empty label cells mean unlabeled.  Labels are read as
+    integers when every present label is an optional '-' followed by decimal
+    digits, and are otherwise encoded by their lexicographic rank.  A ragged
+    row, or a non-numeric or non-finite feature cell, is an error naming the
+    row by the file line on which it ends.
+    """
+    data = _read(path)
+    reader = csv.reader(_text(data, newline=""))
+    rows, lines = [], []
+    for row in reader:
+        if any(cell.strip() for cell in row):
+            rows.append(row)
+            lines.append(reader.line_num)
     if not rows:
         raise IngestionError(f"{path}: empty input")
-
-    def numeric(cell: str) -> bool:
-        try:
-            float(cell)
-            return True
-        except ValueError:
-            return False
-
-    has_header = not all(numeric(c) for c in rows[0])
+    has_header = not all(_is_number(c) for c in rows[0])
     header = [c.strip() for c in rows[0]] if has_header else None
-    data_rows = rows[1:] if has_header else rows
-    if not data_rows:
+    if has_header:
+        rows, lines = rows[1:], lines[1:]
+    if not rows:
         raise IngestionError(f"{path}: no data rows")
-    width = len(data_rows[0])
+    width = len(rows[0])
 
     label_idx: Optional[int] = None
     if label_column is not None:
-        if label_column.lstrip("-").isdigit():
+        if _is_int(label_column):
             label_idx = int(label_column)
             if not (0 <= label_idx < width):
                 raise IngestionError(f"label column index {label_idx} out of range")
@@ -133,36 +147,41 @@ def load_csv(path: str, label_column: Optional[str] = None) -> LabeledDataset:
             if label_column not in header:
                 raise IngestionError(f"label column {label_column!r} not in header {header}")
             label_idx = header.index(label_column)
+        if width == 1:
+            raise IngestionError(f"row {lines[0]}: no feature columns left")
 
-    features: list[list[float]] = []
-    raw_labels: list[Optional[str]] = []
-    for rno, row in enumerate(data_rows, start=2 if has_header else 1):
+    cells = rows if label_idx is None else [r[:label_idx] + r[label_idx + 1 :] for r in rows]
+    try:
+        # one cast over all cells; numpy parses each str cell as float() does
+        features = np.array(cells, dtype=float)
+    except ValueError:
+        features = None
+    if features is None or not np.isfinite(features).all() or len(set(map(len, rows))) > 1:
+        raise _first_bad_row(rows, lines, width, label_idx)
+
+    labels: list[Optional[int]] = [None] * len(rows)
+    if label_idx is not None:
+        raw = [row[label_idx].strip() for row in rows]
+        present = sorted({lab for lab in raw if lab})
+        as_int = all(_is_int(lab) for lab in present)
+        codes = {lab: int(lab) if as_int else code for code, lab in enumerate(present)}
+        labels = [codes.get(lab) for lab in raw]
+    return LabeledDataset.build(features, labels), _digest_bytes(data)
+
+
+def _first_bad_row(rows, lines, width, label_idx) -> IngestionError:
+    """The error for the first row, in file order, that is ragged or has a bad feature cell."""
+    for line, row in zip(lines, rows):
         if len(row) != width:
-            raise IngestionError(f"row {rno}: expected {width} cells, got {len(row)}")
-        feats = []
+            return IngestionError(f"row {line}: expected {width} cells, got {len(row)}")
         for cno, cell in enumerate(row):
             if cno == label_idx:
                 continue
             cell = cell.strip()
-            if not numeric(cell):
-                raise IngestionError(f"row {rno}: non-numeric feature {cell!r} in column {cno}")
-            feats.append(float(cell))
-        if not feats:
-            raise IngestionError(f"row {rno}: no feature columns left")
-        features.append(feats)
-        raw_labels.append(row[label_idx].strip() if label_idx is not None else None)
-
-    labels: list[Optional[int]] = [None] * len(raw_labels)
-    present = [(i, lab) for i, lab in enumerate(raw_labels) if lab]
-    if present:
-        if all(lab.lstrip("-").isdigit() for _, lab in present):
-            for i, lab in present:
-                labels[i] = int(lab)
-        else:
-            codes = {lab: code for code, lab in enumerate(sorted({lab for _, lab in present}))}
-            for i, lab in present:
-                labels[i] = codes[lab]
-    return LabeledDataset.build(np.asarray(features, dtype=float), labels)
+            if not _is_number(cell):
+                return IngestionError(f"row {line}: non-numeric feature {cell!r} in column {cno}")
+            if not math.isfinite(float(cell)):
+                return IngestionError(f"row {line}: non-finite feature {cell!r} in column {cno}")
 
 
 def _sanitize(obj):
@@ -199,9 +218,20 @@ def _emit(report: dict, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _clustering_report(manifest: RunManifest, clustering, stats) -> dict:
-    return {
-        "manifest": manifest.as_dict(),
+def _kmeans(args) -> tuple[BkmConfig, dict]:
+    """The clustering config of cluster, lloyd and bench, and its manifest entries."""
+    init = Init.PLUS_PLUS if args.init == "plusplus" else Init.RANDOM_PARTITION
+    cfg = BkmConfig(k=args.k, max_iter=args.max_iter, seed=args.seed, init=init)
+    return cfg, _fields(args, "init", "k", "labels", "max_iter")
+
+
+def _cmd_cluster(args) -> int:
+    ds, digest = load_csv(args.input, args.labels)
+    cfg, config = _kmeans(args)
+    runner = lloyd_run if args.command == "lloyd" else run
+    clustering, stats = runner(ds.points, cfg)
+    report = {
+        "manifest": _manifest(args.command, args.seed, digest, config),
         "assignments": clustering.assignments,
         "centers": clustering.centers,
         "radii": clustering.radii,
@@ -213,48 +243,15 @@ def _clustering_report(manifest: RunManifest, clustering, stats) -> dict:
         "empty_cluster_repairs": stats.empty_cluster_repairs,
         "ties": [{"point": p, "clusters": list(cl)} for p, cl in clustering.ties],
     }
-
-
-def _bkm_config(args) -> BkmConfig:
-    init = Init.PLUS_PLUS if args.init == "plusplus" else Init.RANDOM_PARTITION
-    return BkmConfig(k=args.k, max_iter=args.max_iter, seed=args.seed, init=init)
-
-
-def _cmd_cluster(args, lloyd: bool) -> int:
-    ds = load_csv(args.input, args.labels)
-    cfg = _bkm_config(args)
-    manifest = RunManifest(
-        command="lloyd" if lloyd else "cluster",
-        seed=args.seed,
-        input_digest=_digest_file(args.input),
-        config={
-            "init": args.init,
-            "k": args.k,
-            "labels": args.labels,
-            "max_iter": args.max_iter,
-        },
-    )
-    runner = lloyd_run if lloyd else run
-    clustering, stats = runner(ds.points, cfg)
-    _emit(_clustering_report(manifest, clustering, stats), args.out)
+    _emit(report, args.out)
     return EXIT_OK
 
 
 def _cmd_bench(args) -> int:
-    ds = load_csv(args.input, args.labels)
-    cfg = _bkm_config(args)
-    manifest = RunManifest(
-        command="bench",
-        seed=args.seed,
-        input_digest=_digest_file(args.input),
-        config={
-            "init": args.init,
-            "k": args.k,
-            "labels": args.labels,
-            "max_iter": args.max_iter,
-            "repeats": args.repeats,
-        },
-    )
+    if args.repeats < 1:
+        raise ValueError("--repeats must be at least 1")
+    ds, digest = load_csv(args.input, args.labels)
+    cfg, config = _kmeans(args)
     repeats = []
     timings = []
     equal = True
@@ -284,7 +281,7 @@ def _cmd_bench(args) -> int:
             }
         )
     report = {
-        "manifest": manifest.as_dict(),
+        "manifest": _manifest("bench", args.seed, digest, {**config, "repeats": args.repeats}),
         "repeats": repeats,
         "all_partitions_equal": equal,
         "acceleration_holds": all(
@@ -306,7 +303,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_gb(args) -> int:
-    ds = load_csv(args.input, args.labels)
+    ds, digest = load_csv(args.input, args.labels)
     cfg = GbConfig(
         purity_threshold=args.purity,
         min_points=args.min_points,
@@ -315,22 +312,12 @@ def _cmd_gb(args) -> int:
         overlap_resolution=args.overlap_resolution,
         seed=args.seed,
     )
-    manifest = RunManifest(
-        command="gb",
-        seed=args.seed,
-        input_digest=_digest_file(args.input),
-        config={
-            "labels": args.labels,
-            "max_depth": args.max_depth,
-            "min_points": args.min_points,
-            "overlap_resolution": args.overlap_resolution,
-            "purity": args.purity,
-            "split_k": args.split_k,
-        },
+    config = _fields(
+        args, "labels", "max_depth", "min_points", "overlap_resolution", "purity", "split_k"
     )
     result = generate(ds, cfg)
     report = {
-        "manifest": manifest.as_dict(),
+        "manifest": _manifest("gb", args.seed, digest, config),
         "balls": [
             {
                 "id": i,
@@ -372,11 +359,12 @@ _KIND_REQUIREMENTS = {
 
 
 def _cmd_verify_metric(args) -> int:
-    ds = load_csv(args.input, args.labels)
+    if args.max_sample < 0:
+        raise ValueError("--max-sample must be at least 0 (0 means no cap)")
+    ds, digest = load_csv(args.input, args.labels)
     pts = ds.points.points
     if args.max_sample and pts.shape[0] > args.max_sample:
-        stride = pts.shape[0] // args.max_sample
-        pts = pts[:: max(stride, 1)][: args.max_sample]
+        pts = pts[:: pts.shape[0] // args.max_sample][: args.max_sample]
     fn = NAMED_DISTANCES[args.metric]()
     declared = Kind(args.declare) if args.declare else fn.declared_kind
     report_ax = classify_distance(fn, list(pts), tol=args.tol)
@@ -387,22 +375,10 @@ def _cmd_verify_metric(args) -> int:
         "pseudo_identity": report_ax.pseudo_identity,
         "k_triangle": report_ax.k_triangle[0],
     }
-    required = _KIND_REQUIREMENTS[declared]
-    ok = all(flags[name] for name in required)
-    manifest = RunManifest(
-        command="verify-metric",
-        seed=None,
-        input_digest=_digest_file(args.input),
-        config={
-            "declare": declared.value,
-            "labels": args.labels,
-            "max_sample": args.max_sample,
-            "metric": args.metric,
-            "tol": args.tol,
-        },
-    )
+    ok = all(flags[name] for name in _KIND_REQUIREMENTS[declared])
+    config = {"declare": declared.value, **_fields(args, "labels", "max_sample", "metric", "tol")}
     report = {
-        "manifest": manifest.as_dict(),
+        "manifest": _manifest("verify-metric", None, digest, config),
         "metric": args.metric,
         "declared_kind": declared.value,
         "sample_size": int(pts.shape[0]),
@@ -431,8 +407,8 @@ def _lattice_v(center: np.ndarray, radius: float) -> np.ndarray:
 def _cmd_verify_algebra(args) -> int:
     center = np.array([float(t) for t in args.center.split(",")])
     if args.v_csv:
-        v = load_csv(args.v_csv).points.points
-        digest = _digest_file(args.v_csv)
+        ds, digest = load_csv(args.v_csv)
+        v = ds.points.points
     else:
         v = _lattice_v(center, args.radius)
         digest = _digest_bytes(f"lattice:{args.center}:{args.radius}".encode())
@@ -446,18 +422,7 @@ def _cmd_verify_algebra(args) -> int:
     if not cautious.members:
         raise IngestionError("no V point falls inside the ball")
     report_laws = verify_laws(ambient, cautious, scalar_grid=grid, tol=args.tol)
-    manifest = RunManifest(
-        command="verify-algebra",
-        seed=None,
-        input_digest=digest,
-        config={
-            "center": args.center,
-            "grid": list(grid),
-            "radius": args.radius,
-            "tol": args.tol,
-            "v_csv": args.v_csv,
-        },
-    )
+    config = {"grid": list(grid), **_fields(args, "center", "radius", "tol", "v_csv")}
 
     def laws_dict(laws):
         return {
@@ -471,7 +436,7 @@ def _cmd_verify_algebra(args) -> int:
         }
 
     report = {
-        "manifest": manifest.as_dict(),
+        "manifest": _manifest("verify-algebra", None, digest, config),
         "v_size": int(v.shape[0]),
         "member_count": len(cautious.members),
         "ambient_laws": laws_dict(report_laws.ambient),
@@ -498,8 +463,7 @@ def _parse_partition(universe: str, partition: str):
 def _cmd_verify_axioms(args) -> int:
     suite = AxiomSuite.named(args.suite)
     if args.system:
-        with open(args.system) as fh:
-            text = fh.read()
+        text = _text(_read(args.system)).read()
         system = parse_system_file(text)
         digest = _digest_bytes(text.encode())
         source = {"system": args.system}
@@ -511,14 +475,8 @@ def _cmd_verify_axioms(args) -> int:
     else:
         raise IngestionError("verify-axioms needs --system or --universe/--partition")
     report_mash = check_mash(system, suite)
-    manifest = RunManifest(
-        command="verify-axioms",
-        seed=None,
-        input_digest=digest,
-        config={"suite": args.suite, **source},
-    )
     report = {
-        "manifest": manifest.as_dict(),
+        "manifest": _manifest("verify-axioms", None, digest, {"suite": args.suite, **source}),
         "suite": args.suite,
         "universe_size": system.n,
         "axioms": {
@@ -541,13 +499,18 @@ def _set_str(s) -> str:
     return "{" + ",".join(str(x) for x in sorted(s)) + "}"
 
 
+def _pair_str(pair):
+    if pair is None:
+        return None
+    return [_set_str(pair.lower_part), _set_str(pair.upper_part)]
+
+
 def _cmd_crrf_demo(args) -> int:
     if args.universe and args.partition:
         base, blocks = _parse_partition(args.universe, args.partition)
         space = pawlak_space(base, blocks)
         axioms = check_approx_axioms(space)
         a_tau = approximation_set(space)
-        pairs = e1_pairs(space)
         xi_tables = {}
         for variant in (1, 2, 3):
             wrapper = xi_functions(space, variant)
@@ -556,28 +519,16 @@ def _cmd_crrf_demo(args) -> int:
                 "defined": validation.defined_points,
                 "undefined": validation.undefined_points,
                 "type1_ok": validation.ok,
-                "table": {
-                    _set_str(a): (
-                        None
-                        if wrapper.apply(a) is None
-                        else [_set_str(wrapper.apply(a).lower_part), _set_str(wrapper.apply(a).upper_part)]
-                    )
-                    for a in wrapper.domain
-                },
+                "table": {_set_str(a): _pair_str(wrapper.apply(a)) for a in wrapper.domain},
             }
         digest = _digest_bytes(f"{args.universe}|{args.partition}".encode())
-        manifest = RunManifest(
-            command="crrf-demo",
-            seed=None,
-            input_digest=digest,
-            config={"partition": args.partition, "universe": args.universe},
-        )
+        config = _fields(args, "partition", "universe")
         report = {
-            "manifest": manifest.as_dict(),
+            "manifest": _manifest("crrf-demo", None, digest, config),
             "mode": "partition",
             "space_axioms": {name: passed for name, (passed, _) in axioms.results.items()},
             "a_tau": [_set_str(a) for a in a_tau],
-            "e1": [[_set_str(p.lower_part), _set_str(p.upper_part)] for p in pairs],
+            "e1": [_pair_str(p) for p in e1_pairs(space)],
             "xi": xi_tables,
             "xi5_example": xi5(frozenset(blocks[0]), frozenset(base)),
         }
@@ -585,18 +536,13 @@ def _cmd_crrf_demo(args) -> int:
         return EXIT_OK
     if not args.input:
         raise IngestionError("crrf-demo needs --universe/--partition or --input")
-    ds = load_csv(args.input, args.labels)
+    ds, digest = load_csv(args.input, args.labels)
     cfg = BkmConfig(k=args.k, max_iter=args.max_iter, seed=args.seed)
     trace = bkm_crrf3_trace(ds.points, cfg)
     all_pass = all(check_approx_axioms(e.space).ok for e in trace)
-    manifest = RunManifest(
-        command="crrf-demo",
-        seed=args.seed,
-        input_digest=_digest_file(args.input),
-        config={"k": args.k, "labels": args.labels, "max_iter": args.max_iter},
-    )
+    config = _fields(args, "k", "labels", "max_iter")
     report = {
-        "manifest": manifest.as_dict(),
+        "manifest": _manifest("crrf-demo", args.seed, digest, config),
         "mode": "clustering-trace",
         "iterations": len(trace),
         "all_spaces_pass_axioms": all_pass,
@@ -623,33 +569,37 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_input=True):
-        if needs_input:
-            p.add_argument("--input", required=True, help="CSV input path")
-            p.add_argument("--labels", default=None, help="label column name or index")
+    def command(name, handler, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
+        return p
+
+    def add_out(p):
         p.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
 
-    def add_kmeans(p):
-        p.add_argument("--k", type=int, required=True)
+    def add_common(p, input_required=True):
+        p.add_argument("--input", required=input_required, help="CSV input path")
+        p.add_argument("--labels", default=None, help="label column name or index")
+        add_out(p)
+
+    def add_seed(p):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--max-iter", type=int, default=200, dest="max_iter")
+
+    for name, handler, help in (
+        ("cluster", _cmd_cluster, "accelerated ball clustering"),
+        ("lloyd", _cmd_cluster, "naive full-scan clustering (oracle)"),
+        ("bench", _cmd_bench, "accelerated vs naive with equality assertion"),
+    ):
+        p = command(name, handler, help)
+        add_common(p)
+        p.add_argument("--k", type=int, required=True)
+        add_seed(p)
         p.add_argument("--init", choices=("random", "plusplus"), default="random")
-
-    p = sub.add_parser("cluster", help="accelerated ball clustering")
-    add_common(p)
-    add_kmeans(p)
-
-    p = sub.add_parser("lloyd", help="naive full-scan clustering (oracle)")
-    add_common(p)
-    add_kmeans(p)
-
-    p = sub.add_parser("bench", help="accelerated vs naive with equality assertion")
-    add_common(p)
-    add_kmeans(p)
     p.add_argument("--repeats", type=int, default=1)
     p.add_argument("--timing", action="store_true", help="include wall time in the JSON")
 
-    p = sub.add_parser("gb", help="granular-ball generation")
+    p = command("gb", _cmd_gb, "granular-ball generation")
     add_common(p)
     p.add_argument("--purity", type=float, required=True)
     p.add_argument("--min-points", type=int, default=1, dest="min_points")
@@ -658,65 +608,46 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--overlap-resolution", action="store_true", dest="overlap_resolution")
 
-    p = sub.add_parser("verify-metric", help="sample-based distance axiom check")
+    p = command("verify-metric", _cmd_verify_metric, "sample-based distance axiom check")
     add_common(p)
     p.add_argument("--metric", choices=sorted(NAMED_DISTANCES), default="euclidean")
     p.add_argument("--declare", choices=[k.value for k in Kind], default=None)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--max-sample", type=int, default=64, dest="max_sample")
 
-    p = sub.add_parser("verify-algebra", help="ball partial-operation law check")
+    p = command("verify-algebra", _cmd_verify_algebra, "ball partial-operation law check")
     p.add_argument("--center", required=True, help="comma-separated coordinates")
     p.add_argument("--radius", type=float, required=True)
     p.add_argument("--v-csv", default=None, dest="v_csv", help="CSV of V points")
     p.add_argument("--grid", default=None, help="comma-separated scalar grid")
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--out", default=None)
+    add_out(p)
 
-    p = sub.add_parser("verify-axioms", help="finite axiom check for a system file or partition")
+    p = command(
+        "verify-axioms", _cmd_verify_axioms, "finite axiom check for a system file or partition"
+    )
     p.add_argument("--system", default=None, help="system definition file")
     p.add_argument("--universe", default=None, help="comma-separated base elements")
     p.add_argument("--partition", default=None, help="blocks as a|b with comma members")
     p.add_argument("--suite", choices=("mash", "ggs", "pre-ggs", "pre-star-ggs"), default="ggs")
-    p.add_argument("--out", default=None)
+    add_out(p)
 
-    p = sub.add_parser("crrf-demo", help="approximation-space and clustering-trace demo")
+    p = command("crrf-demo", _cmd_crrf_demo, "approximation-space and clustering-trace demo")
     p.add_argument("--universe", default=None)
     p.add_argument("--partition", default=None)
-    p.add_argument("--input", default=None)
-    p.add_argument("--labels", default=None)
+    add_common(p, input_required=False)
     p.add_argument("--k", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-iter", type=int, default=200, dest="max_iter")
-    p.add_argument("--out", default=None)
+    add_seed(p)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        if args.command == "cluster":
-            return _cmd_cluster(args, lloyd=False)
-        if args.command == "lloyd":
-            return _cmd_cluster(args, lloyd=True)
-        if args.command == "bench":
-            return _cmd_bench(args)
-        if args.command == "gb":
-            return _cmd_gb(args)
-        if args.command == "verify-metric":
-            return _cmd_verify_metric(args)
-        if args.command == "verify-algebra":
-            return _cmd_verify_algebra(args)
-        if args.command == "verify-axioms":
-            return _cmd_verify_axioms(args)
-        if args.command == "crrf-demo":
-            return _cmd_crrf_demo(args)
-        parser.error(f"unknown command {args.command}")
-        return EXIT_USAGE
+        return args.handler(args)
     except IngestionError as exc:
         sys.stderr.write(f"ingestion error: {exc}\n")
         return EXIT_INGEST

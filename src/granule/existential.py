@@ -202,12 +202,7 @@ def _first_witness(mask: np.ndarray, sys: FinitePartialSystem) -> Optional[tuple
     return tuple(sys.elements[int(t)] for t in idx[0])
 
 
-def check_mash(
-    sys: FinitePartialSystem,
-    suite: AxiomSuite = None,
-    *,
-    wra_mixed_depth2: bool = True,
-) -> MashReport:
+def check_mash(sys: FinitePartialSystem, suite: AxiomSuite = None) -> MashReport:
     """Decide each selected axiom by exhaustive quantification.
 
     Witnesses are lexicographically minimal in element order.  The lattice
@@ -282,7 +277,7 @@ def check_mash(
         elif ax == "TB":
             put("TB", ~(p[sys.bottom, :] & p[:, sys.top]))
         elif ax in ("WRA", "LS", "FU"):
-            adm = check_admissible(sys, mixed_depth2=wra_mixed_depth2)
+            adm = check_admissible(sys)
             results[ax] = getattr(adm, ax.lower())
     return MashReport(results)
 
@@ -357,20 +352,13 @@ def check_admissible(
     ls_viol = sys.granules[:, None] & p & ~p[:, lo]
     ls = AxiomResult(not ls_viol.any(), _first_witness(ls_viol, sys))
 
-    proper = p & ~p.T
     ar = np.arange(n)
     definite = (lo == ar) & (up == ar)
-    fu_ok = True
-    fu_witness = None
-    for gx in gidx:
-        for ga in gidx:
-            if not (proper[gx] & proper[ga] & definite).any():
-                fu_ok = False
-                fu_witness = (sys.elements[int(gx)], sys.elements[int(ga)])
-                break
-        if not fu_ok:
-            break
-    fu = AxiomResult(fu_ok, fu_witness)
+    # below[i, e]: granule gidx[i] is a proper part of the definite element e
+    below = (p & ~p.T)[gidx] & definite
+    fu_viol = np.zeros((n, n), dtype=bool)
+    fu_viol[np.ix_(gidx, gidx)] = ~(below @ below.T)
+    fu = AxiomResult(not fu_viol.any(), _first_witness(fu_viol, sys))
     return AdmissibleReport(wra, ls, fu)
 
 
@@ -500,8 +488,7 @@ def check_eggs(
     members = sorted(base)
     limit = max_n if max_n is not None else len(base) + 1
     images = set()
-    for mask in range(2 ** len(members)):
-        e = frozenset(members[b] for b in range(len(members)) if mask >> b & 1)
+    for e in _unions([{m} for m in members]):
         try:
             _, stable = iterate_to_fixpoint(op, e, limit)
         except DivergenceError:

@@ -1,17 +1,27 @@
+import argparse
+import builtins
 import csv
+import hashlib
+import io
 import json
+import random
+from typing import Optional
 
+import numpy as np
 import pytest
 
 from granule.cli import (
     EXIT_INGEST,
     EXIT_OK,
+    EXIT_USAGE,
     EXIT_VERIFY,
     IngestionError,
+    _build_parser,
     load_csv,
     main,
 )
 from granule.existential import format_system_file, parse_system_file
+from granule.granular_ball import LabeledDataset
 
 from conftest import two_blob_labeled
 from fixtures_axioms import pt2_violation
@@ -39,7 +49,7 @@ def blob_csv(tmp_path):
 class TestLoadCsv:
     def test_plain_numeric(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", [[1, 2], [3, 4], [5, 6]])
-        ds = load_csv(path)
+        ds, _ = load_csv(path)
         assert ds.points.n == 3 and ds.points.d == 2
         assert all(l is None for l in ds.labels)
 
@@ -49,13 +59,13 @@ class TestLoadCsv:
             [[0.0, 1.0, "1"], [1.0, 2.0, ""], [2.0, 3.0, "0"], [3.0, 4.0, ""]],
             header=["a", "b", "class"],
         )
-        ds = load_csv(path, "class")
+        ds, _ = load_csv(path, "class")
         assert ds.points.d == 2
         assert ds.labels == (1, None, 0, None)
 
     def test_label_column_by_index(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", [["7", 0.5], ["9", 1.5]])
-        ds = load_csv(path, "0")
+        ds, _ = load_csv(path, "0")
         assert ds.points.d == 1
         assert ds.labels == (7, 9)
 
@@ -65,7 +75,7 @@ class TestLoadCsv:
             [[0.0, "z"], [1.0, "a"], [2.0, "z"]],
             header=["v", "class"],
         )
-        ds = load_csv(path, "class")
+        ds, _ = load_csv(path, "class")
         assert ds.labels == (1, 0, 1)
 
     def test_bad_feature_names_row(self, tmp_path):
@@ -88,6 +98,206 @@ class TestLoadCsv:
         path = write_csv(tmp_path / "d.csv", [[0.0, 1.0]], header=["a", "b"])
         with pytest.raises(IngestionError, match="label column"):
             load_csv(path, "missing")
+
+
+def loop_load_csv(path: str, label_column: Optional[str] = None) -> LabeledDataset:
+    """Reference: the per-cell ingestion loop that `load_csv` replaced.
+
+    It drops blank lines before numbering rows, so its error texts agree with
+    `load_csv` only on files without blank lines.
+    """
+    try:
+        with open(path, newline="") as fh:
+            rows = [row for row in csv.reader(fh)]
+    except OSError as exc:
+        raise IngestionError(f"cannot read {path}: {exc}") from exc
+    rows = [row for row in rows if any(cell.strip() for cell in row)]
+    if not rows:
+        raise IngestionError(f"{path}: empty input")
+
+    def numeric(cell: str) -> bool:
+        try:
+            float(cell)
+            return True
+        except ValueError:
+            return False
+
+    has_header = not all(numeric(c) for c in rows[0])
+    header = [c.strip() for c in rows[0]] if has_header else None
+    data_rows = rows[1:] if has_header else rows
+    if not data_rows:
+        raise IngestionError(f"{path}: no data rows")
+    width = len(data_rows[0])
+
+    label_idx: Optional[int] = None
+    if label_column is not None:
+        if label_column.lstrip("-").isdigit():
+            label_idx = int(label_column)
+            if not (0 <= label_idx < width):
+                raise IngestionError(f"label column index {label_idx} out of range")
+        else:
+            if header is None:
+                raise IngestionError("named label column requires a header row")
+            if label_column not in header:
+                raise IngestionError(f"label column {label_column!r} not in header {header}")
+            label_idx = header.index(label_column)
+
+    features: list[list[float]] = []
+    raw_labels: list[Optional[str]] = []
+    for rno, row in enumerate(data_rows, start=2 if has_header else 1):
+        if len(row) != width:
+            raise IngestionError(f"row {rno}: expected {width} cells, got {len(row)}")
+        feats = []
+        for cno, cell in enumerate(row):
+            if cno == label_idx:
+                continue
+            cell = cell.strip()
+            if not numeric(cell):
+                raise IngestionError(f"row {rno}: non-numeric feature {cell!r} in column {cno}")
+            feats.append(float(cell))
+        if not feats:
+            raise IngestionError(f"row {rno}: no feature columns left")
+        features.append(feats)
+        raw_labels.append(row[label_idx].strip() if label_idx is not None else None)
+
+    labels: list[Optional[int]] = [None] * len(raw_labels)
+    present = [(i, lab) for i, lab in enumerate(raw_labels) if lab]
+    if present:
+        if all(lab.lstrip("-").isdigit() for _, lab in present):
+            for i, lab in present:
+                labels[i] = int(lab)
+        else:
+            codes = {lab: code for code, lab in enumerate(sorted({lab for _, lab in present}))}
+            for i, lab in present:
+                labels[i] = codes[lab]
+    return LabeledDataset.build(np.asarray(features, dtype=float), labels)
+
+
+ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+FULLWIDTH = str.maketrans("0123456789", "０１２３４５６７８９")
+
+
+def corpus_number(rng: random.Random) -> str:
+    """A finite feature cell in one of the spellings float() accepts."""
+    value = round(rng.uniform(-50, 50), rng.randint(0, 4))
+    style = rng.choice(("plain", "padded", "exponent", "underscore", "unicode", "plus", "int"))
+    if style == "padded":
+        return f"{' ' * rng.randint(1, 2)}{value}{' ' * rng.randint(0, 2)}"
+    if style == "exponent":
+        return f"{value / 1000:.3e}".upper() if rng.random() < 0.5 else f"{value:.2e}"
+    if style == "underscore":
+        return f"{rng.randint(1, 9)}_{rng.randint(100, 999)}.5"
+    if style == "unicode":
+        digits = str(rng.randint(0, 999))
+        return digits.translate(ARABIC_INDIC if rng.random() < 0.5 else FULLWIDTH)
+    if style == "plus":
+        return f"+{abs(value)}"
+    if style == "int":
+        return str(int(value))
+    return repr(value)
+
+
+def corpus_label(rng: random.Random, kind: str) -> str:
+    if rng.random() < 0.15:
+        return rng.choice(("", "  "))
+    if kind == "int":
+        return rng.choice(("0", "1", "-3", "12", "٣", " 7 "))
+    return rng.choice(("cat", "dog", "Ünï", "b 2", "-x", "10a"))
+
+
+def corpus_case(seed: int):
+    """One seeded CSV file: its bytes, the --labels value, and whether it is malformed."""
+    rng = random.Random(seed)
+    n_feat = rng.randint(1, 4)
+    n_rows = rng.randint(1, 12)
+    label_pos = rng.randint(0, n_feat) if rng.random() < 0.7 else None
+    width = n_feat + (label_pos is not None)
+    has_header = rng.random() < 0.5
+    label_kind = rng.choice(("int", "str"))
+    header = [f"f{c}" for c in range(n_feat)]
+    if label_pos is not None:
+        header.insert(label_pos, "class")
+    rows = []
+    for _ in range(n_rows):
+        row = [corpus_number(rng) for _ in range(n_feat)]
+        if label_pos is not None:
+            row.insert(label_pos, corpus_label(rng, label_kind))
+        rows.append(row)
+    malformed = rng.random() < 0.35
+    if malformed:
+        bad = rows[rng.randrange(n_rows)]
+        if rng.random() < 0.5:
+            if len(bad) > 1 and rng.random() < 0.5:
+                bad.pop()
+            else:
+                bad.append(corpus_number(rng))
+        else:
+            cols = [c for c in range(width) if c != label_pos]
+            bad[rng.choice(cols)] = rng.choice(("abc", "1.2.3", "1e", "--1", "0x1F", "²", "1__0"))
+    buf = io.StringIO()
+    quoting = csv.QUOTE_ALL if rng.random() < 0.25 else csv.QUOTE_MINIMAL
+    writer = csv.writer(buf, quoting=quoting, lineterminator=rng.choice(("\n", "\r\n")))
+    if has_header:
+        writer.writerow(header)
+    for row in rows:
+        writer.writerow(row)
+        if not malformed and rng.random() < 0.1:
+            buf.write(rng.choice(("\n", "\r\n", ",\n", "  \n")))
+    label = None
+    if label_pos is not None:
+        label = "class" if has_header and rng.random() < 0.5 else str(label_pos)
+    return buf.getvalue().encode(), label, malformed
+
+
+def ingest_outcome(loader, path, label):
+    try:
+        ds = loader(path, label)
+    except IngestionError as exc:
+        return ("error", str(exc))
+    pts = ds.points.points
+    return (pts.shape, pts.tobytes(), ds.labels)
+
+
+class TestLoadCsvOracle:
+    def test_matches_loop_on_seeded_corpus(self, tmp_path):
+        seen = {"ok": 0, "error": 0, "malformed": 0}
+        for seed in range(240):
+            data, label, malformed = corpus_case(seed)
+            path = tmp_path / f"c{seed}.csv"
+            path.write_bytes(data)
+            expected = ingest_outcome(loop_load_csv, str(path), label)
+            got = ingest_outcome(lambda p, l: load_csv(p, l)[0], str(path), label)
+            assert got == expected, (seed, data, label)
+            seen["error" if expected[0] == "error" else "ok"] += 1
+            seen["malformed"] += malformed
+        assert seen["ok"] >= 120 and seen["error"] >= 50 and seen["malformed"] >= 60, seen
+
+
+class TestIngestRefusals:
+    def test_rows_are_numbered_by_file_line(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"1,2\n\n\n3,x\n")
+        with pytest.raises(IngestionError, match=r"^row 4: non-numeric feature 'x' in column 1$"):
+            load_csv(str(path))
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e400"])
+    def test_non_finite_feature_is_an_ingestion_error(self, tmp_path, cell):
+        path = tmp_path / "d.csv"
+        path.write_text(f"a,b,c\n1,2,x\n3,{cell},y\n")
+        with pytest.raises(IngestionError, match=rf"^row 3: non-finite feature '{cell}' in column 1$"):
+            load_csv(str(path), "c")
+        assert main(["cluster", "--input", str(path), "--labels", "c", "--k", "1"]) == EXIT_INGEST
+
+    def test_labels_that_int_cannot_read_are_ranked(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("1,2,1\n3,4,--5\n5,6,²\n7,8,\n")
+        ds, _ = load_csv(str(path), "2")
+        assert ds.labels == (1, 0, 2, None)  # lexicographic rank of "--5" < "1" < "²"
+        code = main(["gb", "--input", str(path), "--labels", "2", "--purity", "1",
+                     "--out", str(tmp_path / "gb.json")])
+        assert code == EXIT_OK
+        with pytest.raises(IngestionError, match="named label column requires a header row"):
+            load_csv(str(path), "²")
 
 
 def run_to_file(args, out):
@@ -264,3 +474,171 @@ class TestDeterminism:
         _, first = run_to_file(args, tmp_path / "a.json")
         _, second = run_to_file(args, tmp_path / "b.json")
         assert first == second
+
+
+class TestFlagRefusals:
+    def test_missing_system_file_is_ingestion_error(self, tmp_path):
+        code = main(["verify-axioms", "--system", str(tmp_path / "nope.txt")])
+        assert code == EXIT_INGEST
+
+    def test_negative_max_sample_refused(self, tmp_path):
+        path = write_csv(tmp_path / "d.csv", [[0, 0], [1, 1]])
+        out = tmp_path / "m.json"
+        assert main(["verify-metric", "--input", path, "--max-sample", "-1", "--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()
+        assert main(["verify-metric", "--input", path, "--max-sample", "0", "--out", str(out)]) == EXIT_OK
+        assert json.loads(out.read_bytes())["sample_size"] == 2  # 0 means no cap
+
+    def test_zero_repeats_refused(self, blob_csv, tmp_path):
+        out = tmp_path / "b.json"
+        args = ["bench", "--input", blob_csv, "--labels", "class", "--k", "2", "--out", str(out)]
+        assert main(args + ["--repeats", "0"]) == EXIT_USAGE
+        assert not out.exists()
+
+
+def file_commands(csv_path, v_path, system_path):
+    """Every command that reads a file, with the file it reads."""
+    lab = ["--labels", "class"]
+    return {
+        "cluster": (csv_path, ["cluster", "--input", csv_path, *lab, "--k", "2"]),
+        "lloyd": (csv_path, ["lloyd", "--input", csv_path, *lab, "--k", "2"]),
+        "bench": (csv_path, ["bench", "--input", csv_path, *lab, "--k", "2"]),
+        "gb": (csv_path, ["gb", "--input", csv_path, *lab, "--purity", "0.95"]),
+        "verify-metric": (csv_path, ["verify-metric", "--input", csv_path, *lab]),
+        "verify-algebra": (v_path, ["verify-algebra", "--center", "0", "--radius", "2", "--v-csv", v_path]),
+        "crrf-demo": (csv_path, ["crrf-demo", "--input", csv_path, *lab, "--k", "2"]),
+        "verify-axioms": (system_path, ["verify-axioms", "--system", system_path]),
+    }
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["cluster", "lloyd", "bench", "gb", "verify-metric", "verify-algebra", "crrf-demo", "verify-axioms"],
+)
+def test_input_is_read_once_and_digested(name, blob_csv, tmp_path, monkeypatch):
+    v_path = write_csv(tmp_path / "v.csv", [[float(t)] for t in range(-2, 3)])
+    system_path = tmp_path / "system.txt"
+    system_path.write_bytes(format_system_file(pt2_violation()[0]).encode())
+    path, argv = file_commands(blob_csv, v_path, str(system_path))[name]
+    opened = []
+    real_open = builtins.open
+
+    def spy_open(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", spy_open)
+    out = tmp_path / "r.json"
+    main(argv + ["--out", str(out)])
+    monkeypatch.undo()
+    report = json.loads(out.read_bytes())
+    with open(path, "rb") as fh:
+        assert report["manifest"]["input_digest"] == hashlib.sha256(fh.read()).hexdigest()
+    assert opened.count(path) == 1
+
+
+# Every subcommand's flags at the parser refactor: (default, choices, required, type).
+FLAG_PIN = {
+    "cluster": {
+        "--input": (None, None, True, None),
+        "--labels": (None, None, False, None),
+        "--out": (None, None, False, None),
+        "--k": (None, None, True, "int"),
+        "--seed": (0, None, False, "int"),
+        "--max-iter": (200, None, False, "int"),
+        "--init": ("random", ("random", "plusplus"), False, None),
+    },
+    "lloyd": {
+        "--input": (None, None, True, None),
+        "--labels": (None, None, False, None),
+        "--out": (None, None, False, None),
+        "--k": (None, None, True, "int"),
+        "--seed": (0, None, False, "int"),
+        "--max-iter": (200, None, False, "int"),
+        "--init": ("random", ("random", "plusplus"), False, None),
+    },
+    "bench": {
+        "--input": (None, None, True, None),
+        "--labels": (None, None, False, None),
+        "--out": (None, None, False, None),
+        "--k": (None, None, True, "int"),
+        "--seed": (0, None, False, "int"),
+        "--max-iter": (200, None, False, "int"),
+        "--init": ("random", ("random", "plusplus"), False, None),
+        "--repeats": (1, None, False, "int"),
+        "--timing": (False, None, False, None),
+    },
+    "gb": {
+        "--input": (None, None, True, None),
+        "--labels": (None, None, False, None),
+        "--out": (None, None, False, None),
+        "--purity": (None, None, True, "float"),
+        "--min-points": (1, None, False, "int"),
+        "--split-k": (2, None, False, "int"),
+        "--max-depth": (32, None, False, "int"),
+        "--seed": (0, None, False, "int"),
+        "--overlap-resolution": (False, None, False, None),
+    },
+    "verify-metric": {
+        "--input": (None, None, True, None),
+        "--labels": (None, None, False, None),
+        "--out": (None, None, False, None),
+        "--metric": (
+            "euclidean",
+            ("chebyshev", "euclidean", "forward-gap", "manhattan", "sqeuclidean"),
+            False,
+            None,
+        ),
+        "--declare": (
+            None,
+            ("general", "pseudometric", "semimetric", "metric", "quasimetric", "weak-quasimetric"),
+            False,
+            None,
+        ),
+        "--tol": (1e-09, None, False, "float"),
+        "--max-sample": (64, None, False, "int"),
+    },
+    "verify-algebra": {
+        "--center": (None, None, True, None),
+        "--radius": (None, None, True, "float"),
+        "--v-csv": (None, None, False, None),
+        "--grid": (None, None, False, None),
+        "--tol": (1e-09, None, False, "float"),
+        "--out": (None, None, False, None),
+    },
+    "verify-axioms": {
+        "--system": (None, None, False, None),
+        "--universe": (None, None, False, None),
+        "--partition": (None, None, False, None),
+        "--suite": ("ggs", ("mash", "ggs", "pre-ggs", "pre-star-ggs"), False, None),
+        "--out": (None, None, False, None),
+    },
+    "crrf-demo": {
+        "--universe": (None, None, False, None),
+        "--partition": (None, None, False, None),
+        "--input": (None, None, False, None),
+        "--labels": (None, None, False, None),
+        "--k": (2, None, False, "int"),
+        "--seed": (0, None, False, "int"),
+        "--max-iter": (200, None, False, "int"),
+        "--out": (None, None, False, None),
+    },
+}
+
+
+def test_flags_match_pin():
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {
+        name: {
+            a.option_strings[0]: (
+                a.default,
+                None if a.choices is None else tuple(a.choices),
+                a.required,
+                getattr(a.type, "__name__", None),
+            )
+            for a in parser._actions
+            if not isinstance(a, argparse._HelpAction)
+        }
+        for name, parser in sub.choices.items()
+    }
+    assert flags == FLAG_PIN

@@ -163,6 +163,37 @@ class TestAdmissible:
         assert not joins_only.wra.passed  # the empty set is a meet of two blocks
 
 
+def pairwise_fu(sys_, gidx):
+    """Reference: FU by one definite-element test per granule pair, in row-major order."""
+    p = sys_.parthood
+    proper = p & ~p.T
+    ar = np.arange(sys_.n)
+    definite = (sys_.lower == ar) & (sys_.upper == ar)
+    for gx in gidx:
+        for ga in gidx:
+            if not (proper[gx] & proper[ga] & definite).any():
+                return False, (sys_.elements[int(gx)], sys_.elements[int(ga)])
+    return True, None
+
+
+def test_fu_matches_pairwise_loop():
+    rng = np.random.default_rng(11)
+    systems = [builder()[0] for builder in ALL_VIOLATIONS]
+    systems += [build_set_hgos([1, 2, 3, 4], blocks) for blocks in set_partitions([1, 2, 3, 4])]
+    failures = 0
+    for sys_ in systems:
+        choices = [sys_.granule_indices()] + [
+            np.flatnonzero(rng.random(sys_.n) < 0.3) for _ in range(4)
+        ]
+        for gidx in choices:
+            if gidx.size == 0:
+                continue
+            fu = check_admissible(sys_, granules=gidx.tolist()).fu
+            assert (fu.passed, fu.witness) == pairwise_fu(sys_, gidx)
+            failures += not fu.passed
+    assert failures >= 20
+
+
 class TestSetHgos:
     def test_pawlak_examples(self):
         sys_ = build_set_hgos([1, 2, 3], [[1, 2], [3]])
