@@ -18,7 +18,7 @@ import json
 import math
 import sys
 import time
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -87,9 +87,15 @@ def _read(path: str) -> bytes:
         raise IngestionError(f"cannot read {path}: {exc}") from exc
 
 
-def _text(data: bytes, newline: Optional[str] = None) -> io.TextIOWrapper:
-    """Decode with the default encoding `open` uses; newline as for `open`."""
-    return io.TextIOWrapper(io.BytesIO(data), newline=newline)
+def _lines(path: str, data: bytes, newline: Optional[str] = None) -> Iterator[str]:
+    """Lines decoded with the default encoding `open` uses; newline as for `open`.
+
+    Bytes that do not decode are an ingestion error naming the file.
+    """
+    try:
+        yield from io.TextIOWrapper(io.BytesIO(data), newline=newline)
+    except UnicodeDecodeError as exc:
+        raise IngestionError(f"cannot decode {path}: {exc}") from exc
 
 
 def _is_number(cell: str) -> bool:
@@ -119,7 +125,7 @@ def load_csv(path: str, label_column: Optional[str] = None) -> tuple[LabeledData
     row by the file line on which it ends.
     """
     data = _read(path)
-    reader = csv.reader(_text(data, newline=""))
+    reader = csv.reader(_lines(path, data, newline=""))
     rows, lines = [], []
     for row in reader:
         if any(cell.strip() for cell in row):
@@ -463,7 +469,7 @@ def _parse_partition(universe: str, partition: str):
 def _cmd_verify_axioms(args) -> int:
     suite = AxiomSuite.named(args.suite)
     if args.system:
-        text = _text(_read(args.system)).read()
+        text = "".join(_lines(args.system, _read(args.system)))
         system = parse_system_file(text)
         digest = _digest_bytes(text.encode())
         source = {"system": args.system}

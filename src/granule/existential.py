@@ -190,16 +190,43 @@ class MashReport:
         return sorted(name for name, r in self.results.items() if not r.passed)
 
 
-def _apply2(table: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """table[i, j] with undefined (-1) arguments propagating to undefined."""
-    return np.pad(table, ((0, 1), (0, 1)), constant_values=UNDEFINED)[i, j]
+# about this many (a, b, c) entries per chunk of the distributivity checks
+_CHUNK_ENTRIES = 1 << 18
+
+
+def _first_true(mask: np.ndarray) -> Optional[tuple]:
+    """Index of the first True of mask in row-major order, or None."""
+    first = int(mask.argmax())
+    if not mask.flat[first]:
+        return None
+    return tuple(int(t) for t in np.unravel_index(first, mask.shape))
 
 
 def _first_witness(mask: np.ndarray, sys: FinitePartialSystem) -> Optional[tuple]:
-    idx = np.argwhere(mask)
-    if not idx.size:
-        return None
-    return tuple(sys.elements[int(t)] for t in idx[0])
+    idx = _first_true(mask)
+    return None if idx is None else tuple(sys.elements[t] for t in idx)
+
+
+def _distributivity_violation(inner: np.ndarray, outer: np.ndarray) -> Optional[tuple]:
+    """First (a, b, c) in row-major order where (a inner b) outer c and
+    (a outer c) inner (b outer c) are both defined and differ, or None.
+
+    The tables are padded as in :func:`check_mash`.  Rows of a are taken a
+    chunk at a time, so memory is O(n^2) per chunk and no (n, n, n) array is
+    built.
+    """
+    n = len(inner) - 1
+    ab = inner[:n, :n]
+    oc = outer[:n, :n].astype(np.intp)
+    inner_flat = inner.ravel()
+    rows = max(1, _CHUNK_ENTRIES // (n * n))
+    for a0 in range(0, n, rows):
+        lhs = outer[ab[a0 : a0 + rows]][:, :, :n]
+        rhs = inner_flat.take(oc[a0 : a0 + rows, None, :] * (n + 1) + oc)
+        idx = _first_true((lhs != rhs) & (lhs < n) & (rhs < n))
+        if idx is not None:
+            return (a0 + idx[0],) + idx[1:]
+    return None
 
 
 def check_mash(sys: FinitePartialSystem, suite: AxiomSuite = None) -> MashReport:
@@ -218,6 +245,11 @@ def check_mash(sys: FinitePartialSystem, suite: AxiomSuite = None) -> MashReport
     lo = sys.lower
     up = sys.upper
     ar = np.arange(n)
+    # an undefined row and column appended, and undefined as index n, so that
+    # lookups propagate it; int16 holds n for every system build_set_hgos makes
+    dtype = np.int16 if n < 2**15 else np.int64
+    jn_p, mt_p = (np.pad(np.where(t < 0, n, t), (0, 1), constant_values=n).astype(dtype) for t in (jn, mt))
+    adm = check_admissible(sys) if suite.axioms & {"WRA", "LS", "FU"} else None
     results: dict[str, AxiomResult] = {}
 
     def put(name, viol_mask):
@@ -238,23 +270,16 @@ def check_mash(sys: FinitePartialSystem, suite: AxiomSuite = None) -> MashReport
             else:
                 put("G1", np.zeros((n, n), dtype=bool))
         elif ax == "G2":
-            a_grid = np.broadcast_to(ar[:, None], (n, n))
-            absorb1 = _apply2(mt, jn, a_grid)  # (a v b) ^ a
-            absorb2 = _apply2(jn, mt, a_grid)  # (a ^ b) v a
-            viol = ((absorb1 >= 0) & (absorb1 != a_grid)) | (
-                (absorb2 >= 0) & (absorb2 != a_grid)
-            )
+            a = ar[:, None]
+            absorb1 = mt_p[jn_p[:n, :n], a]  # (a v b) ^ a
+            absorb2 = jn_p[mt_p[:n, :n], a]  # (a ^ b) v a
+            viol = ((absorb1 < n) & (absorb1 != a)) | ((absorb2 < n) & (absorb2 != a))
             put("G2", viol)
         elif ax in ("G3", "G4"):
-            inner, outer = (mt, jn) if ax == "G3" else (jn, mt)
-            # (a inner b) outer c  vs  (a outer c) inner (b outer c)
-            ab = inner[:, :, None]
-            c_grid = np.broadcast_to(ar[None, None, :], (n, n, n))
-            lhs = _apply2(outer, ab, c_grid)
-            ac = np.broadcast_to(outer[:, None, :], (n, n, n))
-            bc = np.broadcast_to(outer[None, :, :], (n, n, n))
-            rhs = _apply2(inner, ac, bc)
-            put(ax, (lhs >= 0) & (rhs >= 0) & (lhs != rhs))
+            inner, outer = (mt_p, jn_p) if ax == "G3" else (jn_p, mt_p)
+            idx = _distributivity_violation(inner, outer)
+            witness = None if idx is None else tuple(sys.elements[t] for t in idx)
+            results[ax] = AxiomResult(idx is None, witness)
         elif ax == "G5":
             join_eq = jn == ar[None, :]   # a v b = b (defined and equal)
             meet_eq = mt == ar[:, None]   # a ^ b = a
@@ -277,7 +302,6 @@ def check_mash(sys: FinitePartialSystem, suite: AxiomSuite = None) -> MashReport
         elif ax == "TB":
             put("TB", ~(p[sys.bottom, :] & p[:, sys.top]))
         elif ax in ("WRA", "LS", "FU"):
-            adm = check_admissible(sys)
             results[ax] = getattr(adm, ax.lower())
     return MashReport(results)
 

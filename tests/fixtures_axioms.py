@@ -5,6 +5,10 @@ Shared between the unit tests and the acceptance run.  Each builder returns
 surgically break a single condition, which takes care since the axioms
 interlock (a careless edit to a lower map usually breaks monotonicity or
 lower stability along with the intended target).
+
+The two non-distributive lattices N5 and M3 are the exception: in a lattice
+the two distributive laws stand or fall together, so each of them violates
+exactly G3 and G4.
 """
 
 import numpy as np
@@ -84,6 +88,55 @@ def fu_violation():
     )
     return sys_, "FU"
 
+
+def _lattice(elements, covers, granules):
+    """The lattice on elements generated by the (lower, upper) cover pairs.
+
+    Parthood and order are the lattice order, join and meet its least upper
+    and greatest lower bounds, lower and upper the identity, and the named
+    granules are flagged.
+    """
+    n = len(elements)
+    pos = {el: i for i, el in enumerate(elements)}
+    le = np.eye(n, dtype=bool)
+    for lo, hi in covers:
+        le[pos[lo], pos[hi]] = True
+    for k in range(n):  # transitive closure
+        le |= le[:, [k]] & le[[k], :]
+
+    def bound(common, least):
+        # the common bound that lies below (least) or above every other one
+        return next(k for k in np.flatnonzero(common) if (le[k] if least else le[:, k])[common].all())
+
+    join = np.array([[bound(le[i] & le[j], True) for j in range(n)] for i in range(n)])
+    meet = np.array([[bound(le[:, i] & le[:, j], False) for j in range(n)] for i in range(n)])
+    return FinitePartialSystem(
+        elements=list(elements),
+        parthood=le.copy(),
+        order=le,
+        join=join,
+        meet=meet,
+        lower=np.arange(n),
+        upper=np.arange(n),
+        bottom=0,
+        top=n - 1,
+        granules=np.isin(elements, granules),
+    )
+
+
+def n5_lattice():
+    """The pentagon: a < c, and b incomparable to both."""
+    covers = [("bot", "a"), ("a", "c"), ("c", "top"), ("bot", "b"), ("b", "top")]
+    return _lattice(["bot", "a", "b", "c", "top"], covers, ["a", "b", "c"]), ("G3", "G4")
+
+
+def m3_lattice():
+    """The diamond: three pairwise incomparable atoms."""
+    covers = [("bot", x) for x in "abc"] + [(x, "top") for x in "abc"]
+    return _lattice(["bot", "a", "b", "c", "top"], covers, ["a", "b", "c"]), ("G3", "G4")
+
+
+DISTRIBUTIVITY_VIOLATIONS = (n5_lattice, m3_lattice)
 
 ALL_VIOLATIONS = (
     pt2_violation,

@@ -27,6 +27,12 @@ from conftest import two_blob_labeled
 from fixtures_axioms import pt2_violation
 
 
+try:  # decoded as `open` decodes by default
+    DECODES_0XFF = bool(io.TextIOWrapper(io.BytesIO(b"\xff")).read())
+except UnicodeDecodeError:
+    DECODES_0XFF = False
+
+
 def write_csv(path, rows, header=None):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -488,6 +494,20 @@ class TestFlagRefusals:
         assert not out.exists()
         assert main(["verify-metric", "--input", path, "--max-sample", "0", "--out", str(out)]) == EXIT_OK
         assert json.loads(out.read_bytes())["sample_size"] == 2  # 0 means no cap
+
+    @pytest.mark.skipif(DECODES_0XFF, reason="the default encoding decodes every byte")
+    def test_undecodable_csv_is_ingestion_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"x,y\n1,2\n\xff,3\n")
+        assert main(["cluster", "--input", str(path), "--k", "1"]) == EXIT_INGEST
+        assert f"cannot decode {path}" in capsys.readouterr().err
+
+    @pytest.mark.skipif(DECODES_0XFF, reason="the default encoding decodes every byte")
+    def test_undecodable_system_file_is_ingestion_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(format_system_file(pt2_violation()[0]).encode() + b"# \xff\n")
+        assert main(["verify-axioms", "--system", str(path)]) == EXIT_INGEST
+        assert f"cannot decode {path}" in capsys.readouterr().err
 
     def test_zero_repeats_refused(self, blob_csv, tmp_path):
         out = tmp_path / "b.json"

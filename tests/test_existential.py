@@ -1,14 +1,21 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from granule import existential
 from granule.ball_kmeans import BkmConfig, Dataset, Init, run
 from granule.existential import (
+    AxiomResult,
     AxiomSuite,
     BudgetError,
     DivergenceError,
     FinitePartialSystem,
     GranuleOperator,
+    MashReport,
     StructureError,
+    UNDEFINED,
     ball_refinement_operator,
     build_set_hgos,
     check_admissible,
@@ -21,7 +28,14 @@ from granule.existential import (
     parse_system_file,
 )
 
-from fixtures_axioms import ALL_VIOLATIONS, pt2_violation, set_partitions
+from fixtures_axioms import (
+    ALL_VIOLATIONS,
+    DISTRIBUTIVITY_VIOLATIONS,
+    pt2_violation,
+    set_partitions,
+)
+
+SUITES = ("mash", "ggs", "pre-ggs", "pre-star-ggs")
 
 
 def pairwise_build_set_hgos(universe_set, granulation):
@@ -135,6 +149,187 @@ class TestCheckMash:
             assert check_mash(sys_, AxiomSuite.ggs()).ok
             count += 1
         assert count == 202  # Bell(6) minus the single-block partition
+
+
+class TestDistributivity:
+    # witnesses recorded with the (n, n, n) check that the chunked one replaced
+    PINNED = {
+        "n5_lattice": {"G3": ("b", "c", "a"), "G4": ("a", "b", "c")},
+        "m3_lattice": {"G3": ("a", "b", "c"), "G4": ("a", "b", "c")},
+    }
+
+    @pytest.mark.parametrize("suite", SUITES)
+    @pytest.mark.parametrize("builder", DISTRIBUTIVITY_VIOLATIONS, ids=lambda b: b.__name__)
+    def test_non_distributive_lattices_fail_g3_and_g4(self, builder, suite):
+        sys_, expected = builder()
+        report = check_mash(sys_, AxiomSuite.named(suite))
+        assert report.failed() == list(expected)
+        for ax, witness in self.PINNED[builder.__name__].items():
+            assert report.results[ax] == AxiomResult(False, witness)
+
+
+def test_admissibility_computed_once_per_check(monkeypatch):
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return check_admissible(*args, **kwargs)
+
+    monkeypatch.setattr(existential, "check_admissible", spy)
+    sys_ = build_set_hgos([1, 2, 3], [[1, 2], [3]])
+    check_mash(sys_, AxiomSuite.ggs())
+    assert len(calls) == 1
+    check_mash(sys_, AxiomSuite.mash())
+    assert len(calls) == 1
+
+
+def _apply2(table, i, j):
+    """table[i, j] with undefined (-1) arguments propagating to undefined."""
+    return np.pad(table, ((0, 1), (0, 1)), constant_values=UNDEFINED)[i, j]
+
+
+def _loop_witness(mask, sys_):
+    idx = np.argwhere(mask)
+    return AxiomResult(not idx.size, tuple(sys_.elements[int(t)] for t in idx[0]) if idx.size else None)
+
+
+def loop_distributivity(sys_, ax):
+    """Reference: G3 or G4 over whole (n, n, n) index arrays."""
+    n = sys_.n
+    inner, outer = (sys_.meet, sys_.join) if ax == "G3" else (sys_.join, sys_.meet)
+    # (a inner b) outer c  vs  (a outer c) inner (b outer c)
+    c_grid = np.broadcast_to(np.arange(n)[None, None, :], (n, n, n))
+    lhs = _apply2(outer, inner[:, :, None], c_grid)
+    ac = np.broadcast_to(outer[:, None, :], (n, n, n))
+    bc = np.broadcast_to(outer[None, :, :], (n, n, n))
+    rhs = _apply2(inner, ac, bc)
+    return _loop_witness((lhs >= 0) & (rhs >= 0) & (lhs != rhs), sys_)
+
+
+def loop_absorption(sys_):
+    """Reference: G2 through the padded lookups with undefined as -1."""
+    n = sys_.n
+    a_grid = np.broadcast_to(np.arange(n)[:, None], (n, n))
+    absorb1 = _apply2(sys_.meet, sys_.join, a_grid)
+    absorb2 = _apply2(sys_.join, sys_.meet, a_grid)
+    viol = ((absorb1 >= 0) & (absorb1 != a_grid)) | ((absorb2 >= 0) & (absorb2 != a_grid))
+    return _loop_witness(viol, sys_)
+
+
+def oracle_results(sys_):
+    """Every axiom's result: G2-G4 from the reference loops, the admissibility
+    conditions from one check_admissible call, the rest one axiom at a time."""
+    adm = check_admissible(sys_)
+    out = {"G2": loop_absorption(sys_), "G3": loop_distributivity(sys_, "G3"),
+           "G4": loop_distributivity(sys_, "G4"),
+           "WRA": adm.wra, "LS": adm.ls, "FU": adm.fu}
+    for ax in existential._ALL_AXIOMS:
+        if ax not in out:
+            out[ax] = check_mash(sys_, AxiomSuite(frozenset({ax}))).results[ax]
+    return out
+
+
+def random_system(rng):
+    """A system with random tables, or a powerset system with perturbed join/meet tables."""
+    if rng.random() < 0.5:
+        n = int(rng.integers(1, 9))
+        return FinitePartialSystem(
+            elements=[f"e{i}" for i in range(n)],
+            parthood=rng.random((n, n)) < 0.6,
+            order=rng.random((n, n)) < 0.6,
+            join=rng.integers(UNDEFINED, n, (n, n)),
+            meet=rng.integers(UNDEFINED, n, (n, n)),
+            lower=rng.integers(0, n, n),
+            upper=rng.integers(0, n, n),
+            bottom=int(rng.integers(n)),
+            top=int(rng.integers(n)),
+            granules=rng.random(n) < 0.4,
+        )
+    size = int(rng.integers(1, 6))
+    blocks = [[x] for x in range(size)] + [
+        list(rng.choice(size, int(rng.integers(1, size + 1)), replace=False)) for _ in range(2)
+    ]
+    sys_ = build_set_hgos(range(size), blocks)
+    tables = {}
+    for name in ("join", "meet"):
+        table = getattr(sys_, name).copy()
+        undefined = rng.random(table.shape) < rng.choice([0.0, 0.05, 0.3])
+        wrong = rng.random(table.shape) < rng.choice([0.0, 0.01, 0.05])
+        table[wrong] = rng.integers(0, sys_.n, int(wrong.sum()))
+        table[undefined] = UNDEFINED
+        tables[name] = table
+    return replace(sys_, **tables)
+
+
+def oracle_corpus():
+    systems = [
+        build_set_hgos(range(size), blocks)
+        for size in range(1, 6)
+        for blocks in set_partitions(list(range(size)))
+    ]
+    systems += [build_set_hgos(range(6), b) for b in list(set_partitions(list(range(6))))[::10]]
+    systems += [builder()[0] for builder in ALL_VIOLATIONS + DISTRIBUTIVITY_VIOLATIONS]
+    rng = np.random.default_rng(1302)
+    systems += [random_system(rng) for _ in range(230)]
+    return systems
+
+
+class TestDistributivityOracle:
+    def test_reports_equal_reference_loops_on_corpus(self, monkeypatch):
+        systems = oracle_corpus()
+        assert len(systems) >= 300
+        failures = {"G2": 0, "G3": 0, "G4": 0}
+        for i, sys_ in enumerate(systems):
+            want = oracle_results(sys_)
+            for ax in failures:
+                failures[ax] += not want[ax].passed
+            # one row per chunk on every fifth system, so chunk offsets count
+            monkeypatch.setattr(existential, "_CHUNK_ENTRIES", 1 if i % 5 == 0 else 1 << 18)
+            for name in SUITES:
+                suite = AxiomSuite.named(name)
+                expected = MashReport({ax: want[ax] for ax in sorted(suite.axioms)})
+                assert repr(check_mash(sys_, suite)) == repr(expected), (i, name)
+        assert min(failures.values()) >= 20, failures
+
+
+class TestPastTheOldCap:
+    """Nine base elements, n = 512: the (n, n, n) index arrays of a whole-cube
+    check need gigabytes here, the chunked check a few megabytes."""
+
+    BLOCKS = [[0, 1], [2, 3], [4, 5], [6, 7], [8]]
+
+    def test_nine_elements_pass_ggs_in_bounded_memory(self):
+        sys_ = build_set_hgos(range(9), self.BLOCKS)
+        tracemalloc.start()
+        try:
+            report = check_mash(sys_, AxiomSuite.ggs())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sorted(report.results) == sorted(AxiomSuite.ggs().axioms)
+        assert report.ok, report.failed()
+        assert peak < 64 * 2**20
+
+    def test_first_planted_g3_violation_is_reported(self):
+        base = build_set_hgos(range(9), self.BLOCKS)
+        # meet(x, y) = y for disjoint x, y: the first G3 violation is (x, y, {0}),
+        # since (x ^ y) v {0} = y | {0} but (x v {0}) ^ (y v {0}) = {0}, and
+        # every instance that reads meet(x, y) has a first operand a >= x
+        early = (frozenset({0, 1}), frozenset({2}))
+        late = (frozenset({7, 8}), frozenset({6}))
+
+        def planted(*pairs):
+            meet = base.meet.copy()
+            for x, y in pairs:
+                meet[base.index(x), base.index(y)] = base.index(y)
+            return replace(base, meet=meet)
+
+        rows = max(1, existential._CHUNK_ENTRIES // base.n**2)
+        assert base.index(early[0]) // rows != base.index(late[0]) // rows
+        g3 = AxiomSuite(frozenset({"G3"}))
+        zero = frozenset({0})
+        assert check_mash(planted(late), g3).results["G3"] == AxiomResult(False, late + (zero,))
+        assert check_mash(planted(late, early), g3).results["G3"] == AxiomResult(False, early + (zero,))
 
 
 class TestAdmissible:
