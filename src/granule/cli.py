@@ -33,6 +33,7 @@ from .ball_kmeans import BkmConfig, Init, lloyd_run, run
 from .existential import (
     AxiomSuite,
     StructureError,
+    _render_element,
     build_set_hgos,
     check_mash,
     parse_system_file,
@@ -498,17 +499,13 @@ def _cmd_verify_axioms(args) -> int:
 def _witness_str(witness):
     if witness is None:
         return None
-    return [str(w) for w in witness]
-
-
-def _set_str(s) -> str:
-    return "{" + ",".join(str(x) for x in sorted(s)) + "}"
+    return [_render_element(w) for w in witness]
 
 
 def _pair_str(pair):
     if pair is None:
         return None
-    return [_set_str(pair.lower_part), _set_str(pair.upper_part)]
+    return [_render_element(pair.lower_part), _render_element(pair.upper_part)]
 
 
 def _cmd_crrf_demo(args) -> int:
@@ -525,7 +522,7 @@ def _cmd_crrf_demo(args) -> int:
                 "defined": validation.defined_points,
                 "undefined": validation.undefined_points,
                 "type1_ok": validation.ok,
-                "table": {_set_str(a): _pair_str(wrapper.apply(a)) for a in wrapper.domain},
+                "table": {_render_element(a): _pair_str(wrapper.apply(a)) for a in wrapper.domain},
             }
         digest = _digest_bytes(f"{args.universe}|{args.partition}".encode())
         config = _fields(args, "partition", "universe")
@@ -533,7 +530,7 @@ def _cmd_crrf_demo(args) -> int:
             "manifest": _manifest("crrf-demo", None, digest, config),
             "mode": "partition",
             "space_axioms": {name: passed for name, (passed, _) in axioms.results.items()},
-            "a_tau": [_set_str(a) for a in a_tau],
+            "a_tau": [_render_element(a) for a in a_tau],
             "e1": [_pair_str(p) for p in e1_pairs(space)],
             "xi": xi_tables,
             "xi5_example": xi5(frozenset(blocks[0]), frozenset(base)),

@@ -63,9 +63,6 @@ class LabeledDataset:
     def n(self) -> int:
         return self.points.n
 
-    def labeled_count(self) -> int:
-        return sum(1 for l in self.labels if l is not None)
-
 
 @dataclass(frozen=True)
 class GranularBall:
@@ -112,9 +109,6 @@ class GbResult:
     split_audit: list = field(default_factory=list)  # (parent members, children members, ok)
     unresolved_overlaps: list = field(default_factory=list)
 
-    def labels(self) -> list:
-        return [b.majority_label for b in self.balls]
-
 
 def _label_stats(ds: LabeledDataset, members: Sequence[int]) -> tuple[Optional[float], Optional[int]]:
     labeled = [ds.labels[i] for i in members if ds.labels[i] is not None]
@@ -130,6 +124,9 @@ def make_ball(ds: LabeledDataset, members: Sequence[int], distance: DistanceFn =
     mem = tuple(sorted(int(i) for i in members))
     if not mem:
         raise ValueError("cannot build a ball over an empty member set")
+    if mem[0] < 0 or mem[-1] >= ds.n or len(set(mem)) < len(mem):
+        bad = next(i for i, j in zip(mem, mem[1:] + (ds.n,)) if i < 0 or i >= j)  # sorted: a repeat is not below its successor
+        raise ValueError(f"member index {bad} is repeated or outside 0..{ds.n - 1}")
     fn = distance if distance is not None else euclidean()
     pts = ds.points.points[list(mem)]
     center = pts.mean(axis=0)
@@ -154,9 +151,7 @@ def _child_seed(base_seed: int, depth: int, min_member: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def split(
-    ds: LabeledDataset, ball: GranularBall, k: int, seed: int = 0, depth: int = 0
-) -> list[GranularBall]:
+def split(ds: LabeledDataset, ball: GranularBall, k: int, seed: int = 0, depth: int = 0) -> list[GranularBall]:
     """Split a ball into k children by clustering its members.
 
     Children are granular balls over global indices, ordered by smallest
@@ -168,10 +163,7 @@ def split(
     cfg = BkmConfig(k=k, seed=_child_seed(seed, depth, ball.members[0]), init=Init.PLUS_PLUS)
     clustering, _ = run(sub, cfg)
     members = np.asarray(ball.members, dtype=int)
-    children = [
-        make_ball(ds, members[np.flatnonzero(clustering.assignments == c)])
-        for c in range(k)
-    ]
+    children = [make_ball(ds, members[np.flatnonzero(clustering.assignments == c)]) for c in range(k)]
     children.sort(key=lambda b: b.members[0])
     return children
 
@@ -182,11 +174,23 @@ def check_major_minor(major: GranularBall, minors: Sequence[GranularBall]) -> bo
     The minor balls must union exactly to the major ball's members and be
     pairwise disjoint.
     """
-    minor_sets = [frozenset(m.members) for m in minors]
-    union = frozenset().union(*minor_sets) if minor_sets else frozenset()
-    if union != frozenset(major.members):
-        return False
-    return sum(len(s) for s in minor_sets) == len(union)
+    minor_sets = [set(m.members) for m in minors]
+    union = set().union(*minor_sets)
+    return union == set(major.members) and sum(map(len, minor_sets)) == len(union)
+
+
+def _pack(balls: Sequence[GranularBall]) -> tuple:
+    """Centers (B, d), radii, majority labels (object array, None where unlabeled) and labeled mask."""
+    labels = np.array([b.majority_label for b in balls], dtype=object)
+    return np.array([b.center for b in balls]), np.array([b.radius for b in balls]), labels, labels != None
+
+
+def _offending(fn: DistanceFn, packed: tuple, rows, cols) -> np.ndarray:
+    """Heterogeneous overlaps between balls ``rows`` and ``cols`` of a packed set, as a mask:
+    both labeled, labels differ, and fn(column center, row center) < the radius sum."""
+    centers, radii, labels, labeled = packed
+    dist = np.array([row_distances(fn, centers[cols], centers[r]) for r in rows])
+    return labeled[rows, None] & labeled[cols] & (labels[rows, None] != labels[cols]) & (dist < radii[rows, None] + radii[cols])
 
 
 def heterogeneous_overlap(b1: GranularBall, b2: GranularBall, distance: DistanceFn = None) -> bool:
@@ -194,10 +198,8 @@ def heterogeneous_overlap(b1: GranularBall, b2: GranularBall, distance: Distance
     if b1.majority_label is None or b2.majority_label is None:
         warnings.warn("heterogeneous_overlap on balls without a majority label", stacklevel=2)
         return False
-    if b1.majority_label == b2.majority_label:
-        return False
     fn = distance if distance is not None else euclidean()
-    return float(row_distances(fn, b1.center[None], b2.center)[0]) < b1.radius + b2.radius
+    return bool(_offending(fn, _pack([b2, b1]), [0], [1])[0, 0])
 
 
 def _stop_reason(ball: GranularBall, depth: int, cfg: GbConfig) -> Optional[str]:
@@ -229,7 +231,7 @@ def generate(ds: LabeledDataset, cfg: GbConfig) -> GbResult:
     cap, or when a split is refused; the reason is recorded per ball.  Final
     member sets partition the dataset indices.
     """
-    if ds.labeled_count() == 0:
+    if all(l is None for l in ds.labels):
         raise ValueError("granular-ball generation needs at least one labeled point")
     work = deque([(make_ball(ds, range(ds.n)), 0)])
     final: list[tuple[GranularBall, str, int]] = []
@@ -245,11 +247,8 @@ def generate(ds: LabeledDataset, cfg: GbConfig) -> GbResult:
         except SplitRefused:
             final.append((ball, "split_refused", depth))
             continue
-        audit.append(
-            (ball.members, tuple(c.members for c in children), check_major_minor(ball, children))
-        )
-        for child in children:
-            work.append((child, depth + 1))
+        audit.append((ball.members, tuple(c.members for c in children), check_major_minor(ball, children)))
+        work.extend((child, depth + 1) for child in children)
     result = _result(final, audit)
     if cfg.overlap_resolution:
         result = resolve_overlaps(ds, result, cfg)
@@ -262,52 +261,54 @@ def resolve_overlaps(ds: LabeledDataset, result: GbResult, cfg: GbConfig) -> GbR
     The larger ball of the first offending pair (row-major over the balls
     sorted by smallest member) is split, the smaller as a fallback; pairs
     whose offenders are both stuck at min_points or the depth cap are
-    reported unresolved.  The pair table is built once; a split adds only
-    its children's rows.
+    reported unresolved.  Balls live in slots: a split ball's slot takes its
+    first child and the other children are appended, and only those slots'
+    rows and columns of the offending-pair table are recomputed.
     """
-    entries = sorted(zip(result.balls, result.stop_reasons, result.depths), key=lambda e: e[0].members[0])
-    audit = list(result.split_audit)
-    unresolved = []
+    entries = list(zip(result.balls, result.stop_reasons, result.depths))
+    packed = _pack(result.balls)
+    first = np.array([b.members[0] for b in result.balls])  # smallest member of each slot
+    table = np.zeros((len(entries),) * 2, dtype=bool)  # slot capacity, doubled when outgrown
+    audit, unresolved = list(result.split_audit), []
 
-    def splittable(ball: GranularBall, depth: int) -> bool:
-        return ball.size > max(cfg.min_points, cfg.split_k - 1) and depth < cfg.max_depth
+    def splittable(t: int) -> bool:
+        return entries[t][0].size > max(cfg.min_points, cfg.split_k - 1) and entries[t][2] < cfg.max_depth
 
-    def offending(fresh: np.ndarray) -> np.ndarray:
-        # rows `fresh` of the table; as in heterogeneous_overlap, unlabeled balls never offend
-        balls = [b for b, _, _ in entries]
-        labeled = np.array([b.majority_label is not None for b in balls])
-        if len(balls) > 1 and not labeled.all():
+    def refresh(slots) -> None:
+        # as in heterogeneous_overlap, unlabeled balls never offend
+        n = len(entries)
+        if n > 1 and not packed[3].all():
             warnings.warn("overlap resolution over balls without a majority label", stacklevel=3)
-        labels = np.array([b.majority_label or 0 for b in balls])
-        centers = np.array([b.center for b in balls])
-        radii = np.array([b.radius for b in balls])
-        dist = np.array([row_distances(euclidean(), centers, centers[i]) for i in fresh])
-        return labeled[fresh, None] & labeled & (labels[fresh, None] != labels) & (dist < radii[fresh, None] + radii)
+        table[slots, :n] = _offending(euclidean(), packed, slots, slice(0, n))
+        table[:n, slots] = table[slots, :n].T
 
-    table = offending(np.arange(len(entries)))
+    refresh(np.arange(len(entries)))
     while True:
-        # symmetric (euclidean is bitwise symmetric), False diagonal: the first True has i < j
-        hits = np.flatnonzero(table)
-        if not hits.size:
+        n = len(entries)
+        hit = table[:n, :n].any(axis=1)
+        if not hit.any():
             break
-        i, j = divmod(int(hits[0]), len(entries))
-        first, second = (i, j) if entries[i][0].size >= entries[j][0].size else (j, i)
-        target = next((t for t in (first, second) if splittable(entries[t][0], entries[t][2])), None)
+        # the table is symmetric (euclidean is bitwise symmetric), so the hit slot with the smallest
+        # member and its partner with the smallest member are the first pair in sorted order
+        i = int(np.argmin(np.where(hit, first, ds.n)))
+        j = int(np.argmin(np.where(table[i, :n], first, ds.n)))
+        bigger, smaller = (i, j) if entries[i][0].size >= entries[j][0].size else (j, i)
+        target = next((t for t in (bigger, smaller) if splittable(t)), None)
         if target is None:
             unresolved.append((entries[i][0].members, entries[j][0].members))
             table[i, j] = table[j, i] = False
             continue
-        ball, _, depth = entries.pop(target)
+        ball, _, depth = entries[target]
         children = split(ds, ball, cfg.split_k, seed=cfg.seed, depth=depth)
         audit.append((ball.members, tuple(c.members for c in children), check_major_minor(ball, children)))
-        entries += [(c, _stop_reason(c, depth + 1, cfg) or "overlap_resolution", depth + 1) for c in children]
-        table = np.pad(np.delete(np.delete(table, target, axis=0), target, axis=1), (0, len(children)))
-        fresh = np.arange(len(entries) - len(children), len(entries))
-        table[fresh] = offending(fresh)
-        table[:, fresh] = table[fresh].T
-        order = sorted(range(len(entries)), key=lambda t: entries[t][0].members[0])
-        entries = [entries[t] for t in order]
-        table = table[order][:, order]
+        # the split ball's slot takes the first child and the other children are appended
+        fresh = [(c, _stop_reason(c, depth + 1, cfg) or "overlap_resolution", depth + 1) for c in children]
+        entries[target], entries[n:] = fresh[0], fresh[1:]
+        kids = (*_pack(children), np.array([c.members[0] for c in children]))
+        *packed, first = (np.concatenate([a[:target], v[:1], a[target + 1 :], v[1:]]) for a, v in zip((*packed, first), kids))
+        if len(entries) > len(table):
+            table = np.pad(table, (0, len(entries)))
+        refresh(np.array([target, *range(n, len(entries))]))
 
     return _result(entries, audit, unresolved)
 
@@ -317,12 +318,10 @@ def classify(balls: Sequence[GranularBall], x, distance: DistanceFn = None) -> i
 
     Ties go to the smaller radius, then the lower ball id (list position).
     """
-    labeled = [(i, b) for i, b in enumerate(balls) if b.majority_label is not None]
-    if not labeled:
+    centers, radii, labels, labeled = _pack(balls)
+    if not labeled.any():
         raise ValueError("classification needs at least one labeled ball")
     fn = distance if distance is not None else euclidean()
     xv = np.atleast_1d(np.asarray(x, dtype=float))
-    centers = np.array([b.center for _, b in labeled])
-    radii = np.array([b.radius for _, b in labeled])
     score = row_distances(fn, np.broadcast_to(xv, centers.shape), centers) - radii
-    return int(labeled[np.lexsort((radii, score))[0]][1].majority_label)  # stable: ties keep ball order
+    return int(labels[np.lexsort((radii, score, ~labeled))[0]])  # unlabeled last; stable: ties keep ball order

@@ -316,17 +316,18 @@ class CrrfWrapper:
             domain_ok = set(self.domain) <= set(a_tau)
         defined = undefined = 0
         codomain_ok = True
+        codomain = None if self.codomain is None else set(self.codomain)
         for x in self.domain:
             val = self.func(x)
             if val is None:
                 undefined += 1
                 continue
             defined += 1
-            if self.codomain is not None and val not in set(self.codomain):
+            if codomain is not None and val not in codomain:
                 codomain_ok = False
         total = undefined == 0
         if self.kind in (CrrfKind.TYPE2, CrrfKind.TYPE3) and not total:
-            codomain_ok = codomain_ok and False
+            codomain_ok = False
         return CrrfValidation(
             domain_ok=domain_ok,
             codomain_ok=codomain_ok,

@@ -4,12 +4,17 @@ import csv
 import hashlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
 import pytest
 
+import granule
 from granule.cli import (
     EXIT_INGEST,
     EXIT_OK,
@@ -416,6 +421,20 @@ class TestCommands:
             tmp_path / "ax.json",
         )
         assert code == EXIT_OK and json.loads(raw)["pass"] is True
+
+    def test_verify_axioms_bytes_do_not_depend_on_the_hash_seed(self):
+        # frozenset witnesses iterate in hash order; the report must not
+        args = ["verify-axioms", "--universe", "1,2,3,4", "--partition", "1,2,3,4", "--suite", "ggs"]
+        src = str(Path(granule.__file__).resolve().parents[1])
+        outputs = []
+        for seed in ("1", "2"):
+            path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}
+            proc = subprocess.run([sys.executable, "-m", "granule.cli", *args], env=env, capture_output=True, timeout=120)
+            assert proc.returncode == EXIT_VERIFY, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["axioms"]["FU"]["witness"] == ["{1,2,3,4}", "{1,2,3,4}"]
 
     def test_verify_axioms_system_file(self, tmp_path):
         sys_, _ = pt2_violation()

@@ -23,7 +23,7 @@ from granule.granular_ball import (
     resolve_overlaps,
     split,
 )
-from granule.metrics import DistanceFn, chebyshev, euclidean, forward_gap, manhattan
+from granule.metrics import DistanceFn, chebyshev, euclidean, forward_gap, manhattan, row_distances
 
 
 def ball_of(center, radius, members, label, purity_=1.0):
@@ -59,6 +59,12 @@ class TestMakeBall:
         ds = LabeledDataset.build([[0.0]], [0])
         with pytest.raises(ValueError):
             make_ball(ds, [])
+
+    @pytest.mark.parametrize("members, bad", [([-1, 0], -1), ([0, 0], 0), ([1, 2, 3], 3)])
+    def test_negative_repeated_or_out_of_range_index_rejected(self, members, bad):
+        ds = LabeledDataset.build([[0.0], [1.0], [2.0]], [0, 1, 0])
+        with pytest.raises(ValueError, match=f"member index {bad} "):
+            make_ball(ds, members)
 
     def test_mean_radius_bounded_by_max_radius(self):
         rng = np.random.default_rng(4)
@@ -214,6 +220,12 @@ class TestOverlap:
         b2 = ball_of([3.0], 2.0, (1,), 1)
         assert heterogeneous_overlap(b1, b2)
 
+    def test_asymmetric_distance_measured_from_the_first_ball(self):
+        # forward gap from 0 to 3 is 0, from 3 to 0 is 3: only the first order overlaps
+        b1, b2 = ball_of([0.0], 1.0, (0,), 0), ball_of([3.0], 1.0, (1,), 1)
+        assert heterogeneous_overlap(b1, b2, forward_gap())
+        assert not heterogeneous_overlap(b2, b1, forward_gap())
+
     def test_missing_label_warns_and_returns_false(self):
         b1 = ball_of([0.0], 2.0, (0,), None, purity_=None)
         b2 = ball_of([1.0], 2.0, (1,), 1)
@@ -293,6 +305,34 @@ class TestResolveOverlaps:
             warnings.simplefilter("ignore")
             assert_same_result(resolved, pairwise_resolve_overlaps(ds, base, cfg))
 
+    def test_unlabeled_cloud_matches_table_oracle(self):
+        x, y = noisy_classes(2000, seed=4)
+        cloud = np.random.default_rng(4).normal(x.mean(axis=0), 1.0, (200, x.shape[1]))
+        ds = LabeledDataset.build(np.concatenate([x, cloud]), y.tolist() + [None] * 200)
+        cfg = GbConfig(purity_threshold=0.95, min_points=4)
+        base = generate(ds, cfg)
+        assert any(b.majority_label is None for b in base.balls)
+        with pytest.warns(UserWarning):
+            resolved = resolve_overlaps(ds, base, cfg)
+        assert len(resolved.split_audit) > len(base.split_audit)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert_same_result(resolved, table_resolve_overlaps(ds, base, cfg))
+
+    @pytest.mark.parametrize(
+        "n, seed, min_points, split_k, max_depth",
+        [(n, 1, m, k, 32) for n in (2000, 4000) for m in (1, 4, 10) for k in (2, 3)]
+        + [(2000, 2, 1, 2, 7), (2000, 2, 4, 3, 3), (8000, 1, 4, 2, 32)],  # depth caps; 789 -> 884 balls
+    )
+    def test_matches_table_oracle(self, n, seed, min_points, split_k, max_depth):
+        x, y = noisy_classes(n, seed=seed)
+        ds = LabeledDataset.build(x, y.tolist())
+        cfg = GbConfig(purity_threshold=0.95, min_points=min_points, split_k=split_k, max_depth=max_depth)
+        base = generate(ds, cfg)
+        resolved = resolve_overlaps(ds, base, cfg)
+        assert len(resolved.split_audit) > len(base.split_audit)
+        assert_same_result(resolved, table_resolve_overlaps(ds, base, cfg))
+
     def test_no_eval_and_linear_rows_per_split(self, monkeypatch):
         x, y = noisy_classes(300, seed=4)
         ds = LabeledDataset.build(x, y.tolist())
@@ -319,6 +359,16 @@ class TestResolveOverlaps:
         assert splits > 0
         assert counts["eval"] == 0
         assert counts["rows"] <= b0 * b0 + cfg.split_k * splits * b_max
+
+
+def test_generate_and_classify_write_nothing_to_stdout(capfd):
+    x, y = noisy_classes(400, seed=4)
+    ds = LabeledDataset.build(x[:300], y[:300].tolist())
+    for resolution in (False, True):
+        balls = generate(ds, GbConfig(purity_threshold=0.95, min_points=4, overlap_resolution=resolution)).balls
+        for p in x[300:]:
+            classify(balls, p)
+    assert capfd.readouterr().out == ""
 
 
 class TestClassify:
@@ -431,6 +481,60 @@ def pairwise_resolve_overlaps(ds, result, cfg):
             entries.append((child, reason, depth + 1))
 
     entries.sort(key=lambda item: item[0].members[0])
+    return GbResult(
+        balls=[b for b, _, _ in entries],
+        stop_reasons=[r for _, r, _ in entries],
+        depths=[d for _, _, d in entries],
+        split_audit=audit,
+        unresolved_overlaps=sorted(unresolved),
+    )
+
+
+def table_resolve_overlaps(ds, result, cfg):
+    """Reference: a (B, B) pair table over the balls kept sorted by smallest member; each split
+    deletes the split ball's row and column, pads the children's, and re-sorts balls and table."""
+    entries = sorted(zip(result.balls, result.stop_reasons, result.depths), key=lambda e: e[0].members[0])
+    audit = list(result.split_audit)
+    unresolved = []
+
+    def splittable(ball, depth):
+        return ball.size > max(cfg.min_points, cfg.split_k - 1) and depth < cfg.max_depth
+
+    def offending(fresh):
+        balls = [b for b, _, _ in entries]
+        labeled = np.array([b.majority_label is not None for b in balls])
+        if len(balls) > 1 and not labeled.all():
+            warnings.warn("overlap resolution over balls without a majority label", stacklevel=3)
+        labels = np.array([b.majority_label or 0 for b in balls])
+        centers = np.array([b.center for b in balls])
+        radii = np.array([b.radius for b in balls])
+        dist = np.array([row_distances(euclidean(), centers, centers[i]) for i in fresh])
+        return labeled[fresh, None] & labeled & (labels[fresh, None] != labels) & (dist < radii[fresh, None] + radii)
+
+    table = offending(np.arange(len(entries)))
+    while True:
+        hits = np.flatnonzero(table)
+        if not hits.size:
+            break
+        i, j = divmod(int(hits[0]), len(entries))
+        first, second = (i, j) if entries[i][0].size >= entries[j][0].size else (j, i)
+        target = next((t for t in (first, second) if splittable(entries[t][0], entries[t][2])), None)
+        if target is None:
+            unresolved.append((entries[i][0].members, entries[j][0].members))
+            table[i, j] = table[j, i] = False
+            continue
+        ball, _, depth = entries.pop(target)
+        children = split(ds, ball, cfg.split_k, seed=cfg.seed, depth=depth)
+        audit.append((ball.members, tuple(c.members for c in children), check_major_minor(ball, children)))
+        entries += [(c, granular_ball._stop_reason(c, depth + 1, cfg) or "overlap_resolution", depth + 1) for c in children]
+        table = np.pad(np.delete(np.delete(table, target, axis=0), target, axis=1), (0, len(children)))
+        fresh = np.arange(len(entries) - len(children), len(entries))
+        table[fresh] = offending(fresh)
+        table[:, fresh] = table[fresh].T
+        order = sorted(range(len(entries)), key=lambda t: entries[t][0].members[0])
+        entries = [entries[t] for t in order]
+        table = table[order][:, order]
+
     return GbResult(
         balls=[b for b, _, _ in entries],
         stop_reasons=[r for _, r, _ in entries],
