@@ -19,7 +19,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .metrics import DistanceFn, euclidean, row_distances
+from .metrics import DistanceFn, _blocks, _first_true, _require_tol, euclidean, row_distances
 
 __all__ = [
     "AmbientBall",
@@ -238,23 +238,16 @@ def _star_violation(lhs: tuple, rhs: tuple, tol: float) -> np.ndarray:
     return (lhs[1] != rhs[1]) | _weak_violation(lhs, rhs, tol)
 
 
-def _law(blocks, axes: tuple, stop: bool = True, note: str = "") -> LawResult:
-    """First violation of a row-major case grid, given as its blocks along the first axis.
+def _law(grid, axes: tuple, stop: bool = True, note: str = "") -> LawResult:
+    """First violation of a case grid, given as for :func:`metrics._first_true`.
 
-    ``checked`` counts the cases up to it when ``stop``, else the whole grid;
-    the witness maps its index through ``axes`` (scalar grids or ranges).
+    ``checked`` counts the cases up to it when ``stop``, else the whole grid,
+    which is then given whole; the witness maps its index through ``axes``
+    (scalar grids or ranges).
     """
-    checked, first = 0, None
-    for k, viol in enumerate(blocks):
-        hits = np.flatnonzero(viol)
-        if hits.size and first is None:
-            first = (k, *np.unravel_index(hits[0], np.shape(viol)))
-            if stop:
-                checked += int(hits[0]) + 1
-                break
-        checked += np.size(viol)
+    first, checked = _first_true(grid)
     witness = None if first is None else tuple(ax[i] for ax, i in zip(axes, first))
-    return LawResult(holds=first is None, checked=checked, counterexample=witness, note=note)
+    return LawResult(first is None, checked if stop else np.size(grid), witness, note)
 
 
 def _law_suite(ball: Ball, s: np.ndarray, grid: tuple, tol: float) -> tuple[dict, int]:
@@ -262,7 +255,7 @@ def _law_suite(ball: Ball, s: np.ndarray, grid: tuple, tol: float) -> tuple[dict
 
     The families that stop at their first violation count the cases up to
     it, as the row-major loop over the case grid would.  Associativity and
-    inverse go one first operand at a time: no (s, s, s) array is built.
+    inverse go a block of first operands at a time: no (s, s, s) array is built.
     """
     idx = range(len(s))
     a, b = s[:, None], s[None, :]
@@ -273,15 +266,16 @@ def _law_suite(ball: Ball, s: np.ndarray, grid: tuple, tol: float) -> tuple[dict
     def scaled(c, x):
         return c * x, _inside(ball, c * x)
 
-    def assoc(ia):  # [ib, ic]: a (+) (b (+) c) vs (a (+) b) (+) c
-        lhs_v, lhs_ok = _scaled_sum(ball, 1.0, s[ia], 1.0, pair[0])
-        rhs_v, rhs_ok = _scaled_sum(ball, 1.0, pair[0][ia][:, None], 1.0, b)
-        lhs, rhs = (lhs_v, lhs_ok & pair[1]), (rhs_v, rhs_ok & pair[1][ia][:, None])
+    def assoc(r):  # [ia, ib, ic], ia in r: a (+) (b (+) c) vs (a (+) b) (+) c
+        lhs_v, lhs_ok = _scaled_sum(ball, 1.0, s[r, None, None], 1.0, pair[0])
+        rhs_v, rhs_ok = _scaled_sum(ball, 1.0, pair[0][r, :, None], 1.0, b)
+        lhs, rhs = (lhs_v, lhs_ok & pair[1]), (rhs_v, rhs_ok & pair[1][r, :, None])
         return _weak_violation(lhs, rhs, tol)
 
     swapped = _scaled_sum(ball, 1.0, b, 1.0, a)  # [ia, ib]: b (+) a
     laws = {"weak_star_comm": _law(_star_violation(pair, swapped, tol), (idx, idx))}
-    laws["weak_assoc"] = _law(map(assoc, idx), (idx, idx, idx))
+    blocks = _blocks(len(s), len(s) ** 2)
+    laws["weak_assoc"] = _law(map(assoc, blocks), (idx, idx, idx))
 
     # weak scal1: alpha (beta a) vs (alpha beta) a
     inner_v, inner_ok = scaled(g[:, None, None], s)
@@ -314,7 +308,8 @@ def _law_suite(ball: Ball, s: np.ndarray, grid: tuple, tol: float) -> tuple[dict
     # inverse: a (+) b = 0 = a (+) c forces b = c; checked counts every such (a, b, c)
     null = pair[1] & np.all(np.abs(pair[0]) <= tol, axis=-1)
     near = np.all(np.abs(a - b) <= 2.0 * tol, axis=-1)
-    laws["inverse"] = _law((np.outer(z, z) & ~near for z in null), (idx, idx, idx))
+    cases = (null[r, :, None] & null[r, None, :] & ~near for r in blocks)  # [ia, ib, ic]
+    laws["inverse"] = _law(cases, (idx, idx, idx))
     laws["inverse"].checked = int(np.sum(null.sum(axis=1) ** 2))
     return laws, rev_gaps
 
@@ -334,12 +329,16 @@ def verify_laws(
     """
     if not cautious.members:
         raise ValueError("cautious ball has no members to enumerate")
+    _require_tol(tol)
     s = np.array(cautious.member_points(), dtype=float)
     grid = tuple(float(g) for g in scalar_grid)
+    if not grid:
+        raise ValueError("scalar_grid is empty: no scalars to enumerate")
     for ball in (ambient, cautious):
         # member 0 is first met as operand a, every later member as operand b
-        for i in np.flatnonzero(~_inside(ball, s))[:1]:
-            _require_operand(ball, s[i], "a" if i == 0 else "b")
+        outside, _ = _first_true(~_inside(ball, s))
+        if outside is not None:
+            _require_operand(ball, s[outside[0]], "a" if outside == (0,) else "b")
 
     amb_laws, _ = _law_suite(ambient, s, grid, tol)
     cau_laws, rev_gaps = _law_suite(cautious, s, grid, tol)

@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .ball_kmeans import Dataset
-from .metrics import DistanceFn, euclidean, row_distances
+from .metrics import DistanceFn, _blocks, _first_true, euclidean, row_distances
 
 __all__ = [
     "FinitePartialSystem",
@@ -190,43 +190,27 @@ class MashReport:
         return sorted(name for name, r in self.results.items() if not r.passed)
 
 
-# about this many (a, b, c) entries per chunk of the distributivity checks
-_CHUNK_ENTRIES = 1 << 18
+def _axiom_result(viol, sys: FinitePartialSystem) -> AxiomResult:
+    """Passed iff the case grid has no True; the witness is the elements at its first True."""
+    idx, _ = _first_true(viol)
+    return AxiomResult(idx is None, None if idx is None else tuple(sys.elements[t] for t in idx))
 
 
-def _first_true(mask: np.ndarray) -> Optional[tuple]:
-    """Index of the first True of mask in row-major order, or None."""
-    first = int(mask.argmax())
-    if not mask.flat[first]:
-        return None
-    return tuple(int(t) for t in np.unravel_index(first, mask.shape))
+def _distributivity_violations(inner: np.ndarray, outer: np.ndarray):
+    """Masks of the (a, b, c) where (a inner b) outer c and (a outer c) inner
+    (b outer c) are both defined and differ, a block of first operands a at a time.
 
-
-def _first_witness(mask: np.ndarray, sys: FinitePartialSystem) -> Optional[tuple]:
-    idx = _first_true(mask)
-    return None if idx is None else tuple(sys.elements[t] for t in idx)
-
-
-def _distributivity_violation(inner: np.ndarray, outer: np.ndarray) -> Optional[tuple]:
-    """First (a, b, c) in row-major order where (a inner b) outer c and
-    (a outer c) inner (b outer c) are both defined and differ, or None.
-
-    The tables are padded as in :func:`check_mash`.  Rows of a are taken a
-    chunk at a time, so memory is O(n^2) per chunk and no (n, n, n) array is
-    built.
+    The tables are padded as in :func:`check_mash`.  Memory is O(n^2) per
+    block and no (n, n, n) array is built.
     """
     n = len(inner) - 1
     ab = inner[:n, :n]
     oc = outer[:n, :n].astype(np.intp)
     inner_flat = inner.ravel()
-    rows = max(1, _CHUNK_ENTRIES // (n * n))
-    for a0 in range(0, n, rows):
-        lhs = outer[ab[a0 : a0 + rows]][:, :, :n]
-        rhs = inner_flat.take(oc[a0 : a0 + rows, None, :] * (n + 1) + oc)
-        idx = _first_true((lhs != rhs) & (lhs < n) & (rhs < n))
-        if idx is not None:
-            return (a0 + idx[0],) + idx[1:]
-    return None
+    for r in _blocks(n, n * n):
+        lhs = outer[ab[r]][:, :, :n]
+        rhs = inner_flat.take(oc[r, None, :] * (n + 1) + oc)
+        yield (lhs != rhs) & (lhs < n) & (rhs < n)
 
 
 def check_mash(sys: FinitePartialSystem, suite: AxiomSuite = None) -> MashReport:
@@ -252,23 +236,17 @@ def check_mash(sys: FinitePartialSystem, suite: AxiomSuite = None) -> MashReport
     adm = check_admissible(sys) if suite.axioms & {"WRA", "LS", "FU"} else None
     results: dict[str, AxiomResult] = {}
 
-    def put(name, viol_mask):
-        results[name] = AxiomResult(not viol_mask.any(), _first_witness(viol_mask, sys))
+    def put(name, viol):
+        results[name] = _axiom_result(viol, sys)
 
     for ax in sorted(suite.axioms):
         if ax == "PT1":
             put("PT1", ~p[ar, ar])
         elif ax == "PT2":
             put("PT2", p & p.T & ~np.eye(n, dtype=bool))
-        elif ax == "G1":
-            for tbl, tag in ((jn, "join"), (mt, "meet")):
-                both = (tbl >= 0) & (tbl.T >= 0)
-                viol = both & (tbl != tbl.T)
-                if viol.any():
-                    put("G1", viol)
-                    break
-            else:
-                put("G1", np.zeros((n, n), dtype=bool))
+        elif ax == "G1":  # the join table's first asymmetry, else the meet table's
+            viols = [(tbl >= 0) & (tbl.T >= 0) & (tbl != tbl.T) for tbl in (jn, mt)]
+            put("G1", next((v for v in viols if v.any()), viols[1]))
         elif ax == "G2":
             a = ar[:, None]
             absorb1 = mt_p[jn_p[:n, :n], a]  # (a v b) ^ a
@@ -277,9 +255,7 @@ def check_mash(sys: FinitePartialSystem, suite: AxiomSuite = None) -> MashReport
             put("G2", viol)
         elif ax in ("G3", "G4"):
             inner, outer = (mt_p, jn_p) if ax == "G3" else (jn_p, mt_p)
-            idx = _distributivity_violation(inner, outer)
-            witness = None if idx is None else tuple(sys.elements[t] for t in idx)
-            results[ax] = AxiomResult(idx is None, witness)
+            put(ax, _distributivity_violations(inner, outer))
         elif ax == "G5":
             join_eq = jn == ar[None, :]   # a v b = b (defined and equal)
             meet_eq = mt == ar[:, None]   # a ^ b = a
@@ -370,11 +346,8 @@ def check_admissible(
         vals = vals[vals >= 0]
         reach = reach.copy()
         reach[np.unique(vals)] = True
-    wra_viol = ~(reach[lo] & reach[up])
-    wra = AxiomResult(not wra_viol.any(), _first_witness(wra_viol, sys))
-
-    ls_viol = sys.granules[:, None] & p & ~p[:, lo]
-    ls = AxiomResult(not ls_viol.any(), _first_witness(ls_viol, sys))
+    wra = _axiom_result(~(reach[lo] & reach[up]), sys)
+    ls = _axiom_result(sys.granules[:, None] & p & ~p[:, lo], sys)
 
     ar = np.arange(n)
     definite = (lo == ar) & (up == ar)
@@ -382,7 +355,7 @@ def check_admissible(
     below = (p & ~p.T)[gidx] & definite
     fu_viol = np.zeros((n, n), dtype=bool)
     fu_viol[np.ix_(gidx, gidx)] = ~(below @ below.T)
-    fu = AxiomResult(not fu_viol.any(), _first_witness(fu_viol, sys))
+    fu = _axiom_result(fu_viol, sys)
     return AdmissibleReport(wra, ls, fu)
 
 

@@ -181,6 +181,38 @@ def _as_point(p) -> np.ndarray:
     return a
 
 
+# about this many cases per block of a first-violation scan
+_CHUNK_ENTRIES = 1 << 18
+
+
+def _blocks(n: int, per_row: int) -> list[slice]:
+    """Consecutive slices of a first axis of n rows, about ``_CHUNK_ENTRIES`` cases each."""
+    rows = max(1, _CHUNK_ENTRIES // per_row)
+    return [slice(r, r + rows) for r in range(0, n, rows)]
+
+
+def _first_true(grid) -> tuple[Optional[tuple], int]:
+    """The first True of a row-major case grid: the witness rule of every verifier.
+
+    ``grid`` is a boolean array, or an iterable of consecutive blocks of one along its first
+    axis, not consumed past the first True.  Returns the grid index of that True, or None, and
+    the number of cases up to and including it, or all cases when there is none.
+    """
+    offset = checked = 0
+    for block in (grid,) if isinstance(grid, np.ndarray) else grid:
+        first = int(block.argmax())
+        if block.flat[first]:
+            idx = np.unravel_index(first, block.shape)
+            return (offset + int(idx[0]), *map(int, idx[1:])), checked + first + 1
+        offset, checked = offset + len(block), checked + block.size
+    return None, checked
+
+
+def _require_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
+
+
 def _checked_matrix(fn: DistanceFn, h: Sequence, f: Sequence) -> np.ndarray:
     """The (|h|, |f|) matrix of fn(h_i, f_j), one row-kernel call per column.  Refuses points of
     different dimension, then the first negative or non-finite value in row-major order."""
@@ -193,9 +225,9 @@ def _checked_matrix(fn: DistanceFn, h: Sequence, f: Sequence) -> np.ndarray:
     dmat = np.empty((len(hp), len(fp)))
     for j, b in enumerate(fp):
         dmat[:, j] = row_distances(fn, hm, b)
-    bad = np.argwhere(~np.isfinite(dmat) | (dmat < 0.0))
-    if bad.size:
-        i, j = map(int, bad[0])
+    bad, _ = _first_true(~np.isfinite(dmat) | (dmat < 0.0))
+    if bad is not None:
+        i, j = bad
         raise MetricEvaluationError(
             f"{fn.name} returned {float(dmat[i, j])!r} on pair ({hp[i].tolist()}, {fp[j].tolist()})"
         )
@@ -209,69 +241,65 @@ def classify_distance(
 
     All pairs and ordered triples of the sample are enumerated; comparisons
     a <= b are taken as a <= b + tol, except sigma(a, a) = 0 which is exact.
+    Triples go a block of first points at a time: no (s, s, s) array is built.
     """
     if len(sample) == 0:
         raise ValueError("sample must be non-empty")
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
+    _require_tol(tol)
     pts = [_as_point(p) for p in sample]
     dmat = _checked_matrix(fn, pts, pts)
     same = np.all(np.array(pts)[:, None, :] == np.array(pts)[None, :, :], axis=2)
+    blocks = _blocks(len(pts), len(pts) ** 2)
     counterexamples: dict = {}
 
     def _pt(i):
         p = pts[i]
         return float(p[0]) if p.size == 1 else tuple(p.tolist())
 
-    # pseudo-identity: sigma(a, b) = 0 (within tol) forces a = b
-    pseudo = True
-    bad = np.argwhere(~same & (dmat <= tol))
-    if bad.size:
-        i, j = map(int, bad[0])
-        pseudo = False
-        counterexamples["pseudo_identity"] = (_pt(i), _pt(j), float(dmat[i, j]))
+    def holds(name, cases, witness) -> bool:
+        """True when ``cases`` has no True, else records ``witness`` of the first one."""
+        idx, _ = _first_true(cases)
+        if idx is not None:
+            counterexamples[name] = witness(*idx)
+        return idx is None
 
-    # identity adds the exact diagonal condition sigma(a, a) = 0
-    identity = pseudo
-    diag_bad = np.argwhere(same & (dmat != 0.0))
-    if diag_bad.size:
-        i, j = map(int, diag_bad[0])
-        identity = False
-        counterexamples.setdefault("identity", (_pt(i), _pt(j), float(dmat[i, j])))
-    elif not pseudo:
-        counterexamples["identity"] = counterexamples["pseudo_identity"]
+    def sums(r):  # [i, j, c] = sigma(a_i, a_c) + sigma(a_c, a_j), first points i in r
+        return dmat[r, None, :] + dmat.T[None, :, :]
 
-    symmetry = True
-    asym = np.argwhere(np.triu(np.abs(dmat - dmat.T) > tol, k=1))
-    if asym.size:
-        i, j = map(int, asym[0])
-        symmetry = False
-        counterexamples["symmetry"] = (_pt(i), _pt(j), float(dmat[i, j]), float(dmat[j, i]))
+    def pair(i, j):
+        return _pt(i), _pt(j), float(dmat[i, j])
 
-    # sums[i, j, c] = sigma(a_i, a_c) + sigma(a_c, a_j)
-    sums = dmat[:, None, :] + dmat.T[None, :, :]
-    tri_viol = dmat[:, :, None] > sums + tol
-    triangle = not tri_viol.any()
-    if not triangle:
-        i, j, c = map(int, np.argwhere(tri_viol)[0])
-        counterexamples["triangle"] = (
-            _pt(i), _pt(j), _pt(c), float(dmat[i, j]), float(dmat[i, c] + dmat[c, j]),
-        )
+    def triple_k(i, j, c):
+        return _pt(i), _pt(j), _pt(c), k_used
 
+    # pseudo-identity: sigma(a, b) = 0 (within tol) forces a = b; identity
+    # adds the exact diagonal condition sigma(a, a) = 0
+    pseudo = holds("pseudo_identity", ~same & (dmat <= tol), pair)
+    diagonal = holds("identity", same & (dmat != 0.0), pair)
+    identity = diagonal and pseudo
+    if not pseudo:
+        counterexamples.setdefault("identity", counterexamples["pseudo_identity"])
+    symmetry = holds(
+        "symmetry", np.triu(np.abs(dmat - dmat.T) > tol, k=1), lambda i, j: (*pair(i, j), float(dmat[j, i]))
+    )
+    triangle = holds(
+        "triangle",
+        (dmat[r, :, None] > sums(r) + tol for r in blocks),
+        lambda i, j, c: (_pt(i), _pt(j), _pt(c), float(dmat[i, j]), float(dmat[i, c] + dmat[c, j])),
+    )
     if fn.declared_kind is Kind.WEAK_QUASIMETRIC and fn.declared_k is not None:
         k_used = float(fn.declared_k)
-        k_holds = bool((k_used * dmat[:, :, None] <= sums + tol).all())
-        if not k_holds:
-            i, j, c = map(int, np.argwhere(k_used * dmat[:, :, None] > sums + tol)[0])
-            counterexamples["k_triangle"] = (_pt(i), _pt(j), _pt(c), k_used)
+        if not math.isfinite(k_used):
+            raise ValueError(f"{fn.name} declares a non-finite k: {k_used!r}")
+        k_holds = holds("k_triangle", (k_used * dmat[r, :, None] > sums(r) + tol for r in blocks), triple_k)
     else:
-        denom = np.where(dmat > tol, dmat, np.inf)[:, :, None]
-        ratios = np.where(dmat[:, :, None] > tol, (sums + tol) / denom, np.inf)
-        k_used = float(ratios.min())
-        k_holds = k_used > 0.0
-        if not k_holds:
-            i, j, c = map(int, np.argwhere(ratios == k_used)[0])
-            counterexamples["k_triangle"] = (_pt(i), _pt(j), _pt(c), k_used)
+        def ratios(r):
+            denom = np.where(dmat[r] > tol, dmat[r], np.inf)[:, :, None]
+            return np.where(dmat[r, :, None] > tol, (sums(r) + tol) / denom, np.inf)
+
+        # the witness pass runs only when the minimum falsifies
+        k_used = float(min(ratios(r).min() for r in blocks))
+        k_holds = k_used > 0.0 or holds("k_triangle", (ratios(r) == k_used for r in blocks), triple_k)
 
     order = ["identity", "symmetry", "triangle", "k_triangle", "pseudo_identity"]
     witness = next((counterexamples[n] for n in order if n in counterexamples), None)

@@ -20,6 +20,7 @@ import numpy as np
 
 from .ball_kmeans import BkmConfig, Dataset, run
 from .existential import BudgetError, _unions
+from .metrics import _first_true
 
 __all__ = [
     "ApproxSpace",
@@ -203,10 +204,8 @@ def _exhaustive_axioms(space: ApproxSpace, limit: int) -> dict:
     a, b = _nested_pairs(space.universe)
 
     def first(violated: np.ndarray, *masks: np.ndarray) -> tuple:
-        hits = np.flatnonzero(violated)
-        if not hits.size:
-            return True, None
-        return False, tuple(subsets[m[hits[0]]] for m in masks)
+        idx, _ = _first_true(violated)
+        return (True, None) if idx is None else (False, tuple(subsets[m[idx[0]]] for m in masks))
 
     every = np.arange(len(subsets))
     return {

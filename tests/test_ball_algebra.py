@@ -193,6 +193,17 @@ class TestVerifyLaws:
         with pytest.raises(ValueError):
             verify_laws(amb, cau)
 
+    @pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
+    def test_tol_must_be_finite_and_nonnegative(self, tol):
+        cau = CautiousBall.build([0.0], 1.0, np.array([[0.0], [1.0]]))
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+            verify_laws(cau.ambient, cau, tol=tol)
+
+    def test_empty_scalar_grid_rejected(self):
+        cau = CautiousBall.build([0.0], 1.0, np.array([[0.0], [1.0]]))
+        with pytest.raises(ValueError, match="scalar_grid is empty"):
+            verify_laws(cau.ambient, cau, scalar_grid=())
+
 
 # -- scalar oracle ------------------------------------------------------------
 # The law loops verify_laws ran before its families became array tests, on

@@ -514,6 +514,13 @@ class TestFlagRefusals:
         assert main(["verify-metric", "--input", path, "--max-sample", "0", "--out", str(out)]) == EXIT_OK
         assert json.loads(out.read_bytes())["sample_size"] == 2  # 0 means no cap
 
+    @pytest.mark.parametrize("tol", ["-1", "nan"])
+    def test_tol_outside_finite_nonnegative_refused(self, tmp_path, tol):
+        path = write_csv(tmp_path / "d.csv", [[0, 0], [1, 1]])
+        algebra = ["verify-algebra", "--center", "0,0", "--radius", "2", "--tol", tol]
+        assert main(algebra) == EXIT_USAGE
+        assert main(["verify-metric", "--input", path, "--tol", tol]) == EXIT_USAGE
+
     @pytest.mark.skipif(DECODES_0XFF, reason="the default encoding decodes every byte")
     def test_undecodable_csv_is_ingestion_error(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from granule import existential
+from granule import existential, metrics
 from granule.ball_kmeans import BkmConfig, Dataset, Init, run
 from granule.existential import (
     AxiomResult,
@@ -284,7 +284,7 @@ class TestDistributivityOracle:
             for ax in failures:
                 failures[ax] += not want[ax].passed
             # one row per chunk on every fifth system, so chunk offsets count
-            monkeypatch.setattr(existential, "_CHUNK_ENTRIES", 1 if i % 5 == 0 else 1 << 18)
+            monkeypatch.setattr(metrics, "_CHUNK_ENTRIES", 1 if i % 5 == 0 else 1 << 18)
             for name in SUITES:
                 suite = AxiomSuite.named(name)
                 expected = MashReport({ax: want[ax] for ax in sorted(suite.axioms)})
@@ -324,7 +324,7 @@ class TestPastTheOldCap:
                 meet[base.index(x), base.index(y)] = base.index(y)
             return replace(base, meet=meet)
 
-        rows = max(1, existential._CHUNK_ENTRIES // base.n**2)
+        rows = max(1, metrics._CHUNK_ENTRIES // base.n**2)
         assert base.index(early[0]) // rows != base.index(late[0]) // rows
         g3 = AxiomSuite(frozenset({"G3"}))
         zero = frozenset({0})

@@ -1,11 +1,13 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from granule import metrics
 from granule.ball_algebra import AmbientBall, CautiousBall, verify_laws
 from granule.granular_ball import GranularBall, heterogeneous_overlap
 from granule.metrics import (
@@ -120,6 +122,30 @@ class TestClassify:
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError):
             classify_distance(euclidean(), [])
+
+    @pytest.mark.parametrize("k", [float("nan"), float("inf")])
+    def test_non_finite_declared_k_refused(self, k):
+        fn = dataclasses.replace(euclidean(), declared_kind=Kind.WEAK_QUASIMETRIC, declared_k=k)
+        with pytest.raises(ValueError, match="declares a non-finite k"):
+            classify_distance(fn, [0.0, 1.0])
+
+    @pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf"), -float("inf")])
+    def test_tol_must_be_finite_and_nonnegative(self, tol):
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+            classify_distance(euclidean(), [0.0, 1.0], tol=tol)
+
+    def test_triples_in_bounded_memory(self):
+        # the triangle and k-triangle scans go a block of first points at a
+        # time; whole (s, s, s) float arrays would need 64 MB each here
+        sample = list(np.random.default_rng(15).normal(size=(200, 3)))
+        tracemalloc.start()
+        try:
+            reports = [classify_distance(fn, sample) for fn in (euclidean(), squared_euclidean())]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert reports[0].is_metric_on_sample and not reports[1].triangle
+        assert peak < 32 * 2**20
 
 
 class TestSetDistances:
@@ -354,6 +380,29 @@ class TestLoopOracle:
                     cases += 1
                     errors += got[0] == "error"
         assert cases == 60 * 14 * 4 and errors > 100
+
+    def test_one_first_point_per_block_equals_the_loop(self, monkeypatch):
+        # every first point its own block, so that block offsets count in the
+        # witnesses; at tol 0 the blind distance reaches a k-triangle ratio of 0
+        monkeypatch.setattr(metrics, "_CHUNK_ENTRIES", 1)
+        base = manhattan()
+        blind = DistanceFn(
+            "blind-within-1",
+            eval=lambda a, b: base.eval(a, b) if base.eval(a, b) > 1.0 else 0.0,
+            rows=lambda m, v: np.where(base.rows(m, v) > 1.0, base.rows(m, v), 0.0),
+        )
+        weak = dataclasses.replace(squared_euclidean(), declared_kind=Kind.WEAK_QUASIMETRIC, declared_k=0.6)
+        rng = np.random.default_rng(15)
+        reached = set()
+        for trial in range(24):
+            d, tol = 1 + trial % 2, 0.0 if trial % 3 else 1e-9
+            sample = list(np.round(rng.normal(1.0, 1.5, size=(int(rng.integers(2, 8)), d)), 1 + trial % 3))
+            for fn in _oracle_distances() + [blind, weak]:
+                got = _outcome(classify_distance, fn, sample, tol)
+                assert got == _outcome(loop_classify_distance, fn, sample, tol), (fn.name, trial)
+                if got[0] == "value":
+                    reached.update(classify_distance(fn, sample, tol).counterexamples)
+        assert reached == {"identity", "pseudo_identity", "symmetry", "triangle", "k_triangle"}
 
 
 def _eval_refused(a, b):
