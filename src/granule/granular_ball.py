@@ -13,17 +13,19 @@ from __future__ import annotations
 
 import warnings
 from collections import Counter, deque
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .ball_kmeans import BkmConfig, Dataset, Init, run
-from .metrics import DistanceFn, euclidean, row_distances
+from .metrics import DistanceFn, _blocks, euclidean, row_distances
 
 __all__ = [
     "LabeledDataset",
     "GranularBall",
+    "BallSet",
     "GbConfig",
     "GbResult",
     "SplitRefused",
@@ -79,6 +81,46 @@ class GranularBall:
         return len(self.members)
 
 
+def _arrays(balls: Sequence[GranularBall]) -> tuple:
+    """Centers (B, d), radii, majority labels (object array, None where unlabeled), labeled mask
+    and smallest members: a BallSet's own arrays, or one packing of any other sequence of balls."""
+    if isinstance(balls, BallSet):
+        return balls.centers, balls.radii, balls.labels, balls.labeled, balls.first
+    labels = np.array([b.majority_label for b in balls], dtype=object)
+    centers = np.array([b.center for b in balls], dtype=float)
+    radii = np.array([b.radius for b in balls], dtype=float)
+    return centers, radii, labels, labels != None, np.array([b.members[0] for b in balls])
+
+
+class BallSet(Sequence):
+    """Immutable sequence of granular balls, packed once into read-only arrays.
+
+    ``centers`` (B, d), ``radii``, ``labels`` (majority labels, None where
+    unlabeled), ``labeled`` and ``first`` (smallest members) follow the ball
+    order, and each ball's ``center`` is a row of ``centers``.  A slice is a
+    plain list of balls.
+    """
+
+    def __init__(self, balls: Iterable[GranularBall]):
+        balls = list(balls)
+        arrays = _arrays(balls)
+        for a in arrays:
+            a.flags.writeable = False
+        self.centers, self.radii, self.labels, self.labeled, self.first = arrays
+        self._balls = tuple(
+            GranularBall(c, b.radius, b.members, b.purity, b.majority_label) for c, b in zip(self.centers, balls)
+        )
+
+    def __len__(self) -> int:
+        return len(self._balls)
+
+    def __getitem__(self, i):
+        return list(self._balls[i]) if isinstance(i, slice) else self._balls[i]
+
+    def __repr__(self) -> str:
+        return f"BallSet({list(self._balls)!r})"
+
+
 @dataclass(frozen=True)
 class GbConfig:
     purity_threshold: float
@@ -101,13 +143,20 @@ class GbConfig:
 
 @dataclass
 class GbResult:
-    """Final balls (sorted by smallest member index; list position is the ball id)."""
+    """Final balls (sorted by smallest member index; sequence position is the ball id).
 
-    balls: list
+    ``balls`` is packed into a BallSet when the result is built.
+    """
+
+    balls: Sequence[GranularBall]
     stop_reasons: list
     depths: list
     split_audit: list = field(default_factory=list)  # (parent members, children members, ok)
     unresolved_overlaps: list = field(default_factory=list)
+
+    def __post_init__(self):
+        if not isinstance(self.balls, BallSet):
+            self.balls = BallSet(self.balls)
 
 
 def _label_stats(ds: LabeledDataset, members: Sequence[int]) -> tuple[Optional[float], Optional[int]]:
@@ -179,16 +228,10 @@ def check_major_minor(major: GranularBall, minors: Sequence[GranularBall]) -> bo
     return union == set(major.members) and sum(map(len, minor_sets)) == len(union)
 
 
-def _pack(balls: Sequence[GranularBall]) -> tuple:
-    """Centers (B, d), radii, majority labels (object array, None where unlabeled) and labeled mask."""
-    labels = np.array([b.majority_label for b in balls], dtype=object)
-    return np.array([b.center for b in balls]), np.array([b.radius for b in balls]), labels, labels != None
-
-
 def _offending(fn: DistanceFn, packed: tuple, rows, cols) -> np.ndarray:
-    """Heterogeneous overlaps between balls ``rows`` and ``cols`` of a packed set, as a mask:
+    """Heterogeneous overlaps between balls ``rows`` and ``cols`` of ``_arrays`` output, as a mask:
     both labeled, labels differ, and fn(column center, row center) < the radius sum."""
-    centers, radii, labels, labeled = packed
+    centers, radii, labels, labeled, _ = packed
     dist = np.array([row_distances(fn, centers[cols], centers[r]) for r in rows])
     return labeled[rows, None] & labeled[cols] & (labels[rows, None] != labels[cols]) & (dist < radii[rows, None] + radii[cols])
 
@@ -199,7 +242,7 @@ def heterogeneous_overlap(b1: GranularBall, b2: GranularBall, distance: Distance
         warnings.warn("heterogeneous_overlap on balls without a majority label", stacklevel=2)
         return False
     fn = distance if distance is not None else euclidean()
-    return bool(_offending(fn, _pack([b2, b1]), [0], [1])[0, 0])
+    return bool(_offending(fn, _arrays([b2, b1]), [0], [1])[0, 0])
 
 
 def _stop_reason(ball: GranularBall, depth: int, cfg: GbConfig) -> Optional[str]:
@@ -266,8 +309,7 @@ def resolve_overlaps(ds: LabeledDataset, result: GbResult, cfg: GbConfig) -> GbR
     rows and columns of the offending-pair table are recomputed.
     """
     entries = list(zip(result.balls, result.stop_reasons, result.depths))
-    packed = _pack(result.balls)
-    first = np.array([b.members[0] for b in result.balls])  # smallest member of each slot
+    packed = _arrays(result.balls)  # slot arrays; packed[4] is the smallest member of each slot
     table = np.zeros((len(entries),) * 2, dtype=bool)  # slot capacity, doubled when outgrown
     audit, unresolved = list(result.split_audit), []
 
@@ -290,8 +332,8 @@ def resolve_overlaps(ds: LabeledDataset, result: GbResult, cfg: GbConfig) -> GbR
             break
         # the table is symmetric (euclidean is bitwise symmetric), so the hit slot with the smallest
         # member and its partner with the smallest member are the first pair in sorted order
-        i = int(np.argmin(np.where(hit, first, ds.n)))
-        j = int(np.argmin(np.where(table[i, :n], first, ds.n)))
+        i = int(np.argmin(np.where(hit, packed[4], ds.n)))
+        j = int(np.argmin(np.where(table[i, :n], packed[4], ds.n)))
         bigger, smaller = (i, j) if entries[i][0].size >= entries[j][0].size else (j, i)
         target = next((t for t in (bigger, smaller) if splittable(t)), None)
         if target is None:
@@ -304,8 +346,8 @@ def resolve_overlaps(ds: LabeledDataset, result: GbResult, cfg: GbConfig) -> GbR
         # the split ball's slot takes the first child and the other children are appended
         fresh = [(c, _stop_reason(c, depth + 1, cfg) or "overlap_resolution", depth + 1) for c in children]
         entries[target], entries[n:] = fresh[0], fresh[1:]
-        kids = (*_pack(children), np.array([c.members[0] for c in children]))
-        *packed, first = (np.concatenate([a[:target], v[:1], a[target + 1 :], v[1:]]) for a, v in zip((*packed, first), kids))
+        kids = _arrays(children)
+        packed = [np.concatenate([a[:target], v[:1], a[target + 1 :], v[1:]]) for a, v in zip(packed, kids)]
         if len(entries) > len(table):
             table = np.pad(table, (0, len(entries)))
         refresh(np.array([target, *range(n, len(entries))]))
@@ -313,15 +355,35 @@ def resolve_overlaps(ds: LabeledDataset, result: GbResult, cfg: GbConfig) -> GbR
     return _result(entries, audit, unresolved)
 
 
-def classify(balls: Sequence[GranularBall], x, distance: DistanceFn = None) -> int:
-    """Label of the ball minimizing distance-to-center minus radius.
+def classify(balls: Sequence[GranularBall], x, distance: DistanceFn = None) -> int | np.ndarray:
+    """Label of the labeled ball minimizing distance-to-center minus radius.
 
-    Ties go to the smaller radius, then the lower ball id (list position).
+    ``x`` is one point of the balls' dimension d (a scalar when d = 1), giving
+    an int, or an (m, d) array, giving an int array of m labels, scored in
+    row chunks.  Distances are measured from the point, ``distance(x,
+    center)``.  Score ties go to the smaller radius, then the lower ball id
+    (sequence position).  Points of another dimension, with a non-finite
+    coordinate or of more than two array dimensions are refused.
     """
-    centers, radii, labels, labeled = _pack(balls)
+    centers, radii, labels, labeled, _ = _arrays(balls)
     if not labeled.any():
         raise ValueError("classification needs at least one labeled ball")
+    xv = np.asarray(x, dtype=float)
+    pts = np.atleast_2d(xv)
+    if xv.ndim > 2 or pts.shape[1] != centers.shape[1]:
+        raise ValueError(f"points must be of the balls' dimension {centers.shape[1]}, got shape {xv.shape}")
+    if not np.isfinite(pts).all():
+        raise ValueError("points must have finite coordinates")
     fn = distance if distance is not None else euclidean()
-    xv = np.atleast_1d(np.asarray(x, dtype=float))
-    score = row_distances(fn, np.broadcast_to(xv, centers.shape), centers) - radii
-    return int(labels[np.lexsort((radii, score, ~labeled))[0]])  # unlabeled last; stable: ties keep ball order
+    win = np.empty(len(pts), dtype=np.intp)
+    for rows in _blocks(len(pts), centers.size):
+        chunk = pts[rows]  # row p * B + i pairs point p of the chunk with center i
+        dist = row_distances(fn, chunk.repeat(len(centers), axis=0), np.tile(centers, (len(chunk), 1)))
+        score = dist.reshape(len(chunk), -1) - radii
+        # the least labeled score, NaN ranking last; a point whose labeled scores are all NaN ties them all
+        best = labeled & (score == np.fmin.reduce(score, axis=1, keepdims=True, where=labeled, initial=np.inf))
+        best |= labeled & ~best.any(axis=1, keepdims=True)
+        tied = np.where(best, radii, np.inf)  # argmax: the first, lowest-id, best ball of least radius
+        win[rows] = np.argmax(best & (tied == np.fmin.reduce(tied, axis=1, keepdims=True)), axis=1)
+    found = labels[win]
+    return int(found[0]) if xv.ndim < 2 else found.astype(int)

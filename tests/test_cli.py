@@ -378,6 +378,28 @@ class TestCommands:
         members = sorted(i for ball in report["balls"] for i in ball["members"])
         assert members == list(range(80))
 
+    @pytest.mark.parametrize(
+        "flags, sha256",
+        [
+            ([], "db18f099da3ff5ff09454fbc736c3d6880d6c0780d8da3b87a113174089e2bd1"),
+            (["--overlap-resolution"], "694508479d3e15a23ba954312c3de954e8d92d573caaece2d620c5f8d5762125"),
+        ],
+    )
+    def test_gb_report_bytes_pinned(self, tmp_path, flags, sha256):
+        # four 4-D classes with 5% of labels redrawn, so overlap resolution splits further; the
+        # manifest carries the artifact version, so a version bump re-pins these digests
+        rng = np.random.default_rng(1)
+        centers = rng.uniform(0.0, 7.0, (4, 4))
+        y = rng.integers(0, 4, 200)
+        x = rng.normal(centers[y], 1.0)
+        y = np.where(rng.random(200) < 0.05, rng.integers(0, 4, 200), y)
+        path = write_csv(tmp_path / "noisy.csv", [[f"{v:.6f}" for v in row] + [c] for row, c in zip(x, y)])
+        argv = ["gb", "--input", path, "--labels", "4", "--purity", "0.95", "--min-points", "4", "--seed", "2"]
+        code, raw = run_to_file(argv + flags, tmp_path / "gb.json")
+        assert code == EXIT_OK
+        assert json.loads(raw)["splits"] == (31 if flags else 19)
+        assert hashlib.sha256(raw).hexdigest() == sha256
+
     def test_verify_metric_pass_and_fail(self, blob_csv, tmp_path):
         code, raw = run_to_file(
             ["verify-metric", "--input", blob_csv, "--labels", "class", "--metric", "euclidean"],

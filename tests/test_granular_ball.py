@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from granule import granular_ball
+from granule import granular_ball, metrics
 from granule.granular_ball import (
+    BallSet,
     GbConfig,
     GbResult,
     GranularBall,
@@ -415,11 +416,145 @@ class TestClassify:
         balls = generate(ds, GbConfig(purity_threshold=0.95, min_points=4, seed=5)).balls
         fn = factory()
         for p in x[300:]:
-            best = min(
-                (i for i, b in enumerate(balls) if b.majority_label is not None),
-                key=lambda i: (fn.eval(p, balls[i].center) - balls[i].radius, balls[i].radius, i),
-            )
-            assert classify(balls, p, fn) == balls[best].majority_label
+            assert classify(balls, p, fn) == per_ball_minimum(balls, p, fn)
+        assert classify(balls, x[300:], fn).tolist() == [per_ball_minimum(balls, p, fn) for p in x[300:]]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.sampled_from([euclidean, manhattan, forward_gap]))
+    def test_batch_matches_per_point_and_minimum(self, data, factory):
+        # lattice centers and points with radii in halves: exact score ties are common
+        d = data.draw(st.integers(1, 3))
+        coords = st.lists(st.integers(-1, 3).map(float), min_size=d, max_size=d)
+        label = st.sampled_from([None, 0, 1, 2])
+        radius = st.sampled_from([0.0, 0.5, 1.0, 2.0])
+        spec = data.draw(st.lists(st.tuples(coords, radius, label), min_size=1, max_size=8))
+        if all(lab is None for *_, lab in spec):
+            i = data.draw(st.integers(0, len(spec) - 1))
+            spec[i] = (*spec[i][:2], 0)
+        balls = [ball_of(c, r, (i,), lab, None if lab is None else 1.0) for i, (c, r, lab) in enumerate(spec)]
+        pts = np.array(data.draw(st.lists(coords, min_size=1, max_size=12)))
+        fn = factory()
+        want = [per_ball_minimum(balls, p, fn) for p in pts]
+        assert [classify(balls, p, fn) for p in pts] == want
+        assert classify(balls, pts, fn).tolist() == want
+        assert classify(BallSet(balls), pts, fn).tolist() == want
+
+    def test_set_and_plain_list_agree(self):
+        x, y = noisy_classes(500, seed=3)
+        ds = LabeledDataset.build(x[:300], y[:300].tolist())
+        balls = generate(ds, GbConfig(purity_threshold=0.95, min_points=4, seed=5)).balls
+        assert isinstance(balls, BallSet)
+        got = classify(balls, x[300:])
+        assert got.dtype.kind == "i" and got.shape == (200,)
+        assert got.tolist() == classify(list(balls), x[300:]).tolist()
+        assert [classify(balls, p) for p in x[300:350]] == [classify(list(balls), p) for p in x[300:350]]
+
+    def test_batch_goes_in_bounded_row_chunks(self, monkeypatch):
+        x, y = noisy_classes(500, seed=3)
+        ds = LabeledDataset.build(x[:300], y[:300].tolist())
+        balls = generate(ds, GbConfig(purity_threshold=0.95, min_points=4, seed=5)).balls
+        real = euclidean()
+        sizes = []
+
+        def recorded_rows(m, v):
+            sizes.append(len(m))
+            return real.rows(m, v)
+
+        monkeypatch.setattr(metrics, "_CHUNK_ENTRIES", 8 * balls.centers.size)
+        got = classify(balls, x[300:], dataclasses.replace(real, rows=recorded_rows))
+        assert sizes == [8 * len(balls)] * 25
+        assert got.tolist() == [per_ball_minimum(balls, p, real) for p in x[300:]]
+
+    @pytest.mark.parametrize(
+        "spec, want",
+        [
+            ([(np.nan, 1.0, 0), (3.0, 1.0, 1)], 1),  # a NaN score ranks after every other
+            ([(0.0, 1.0, None), (np.nan, 2.0, 5), (np.nan, 1.0, 7), (np.nan, 1.0, 8)], 7),  # all NaN: radius, id
+            ([(np.nan, 1.0, 0), (np.inf, 1.0, 1), (np.nan, 0.5, 2)], 1),  # an infinite score beats NaN
+        ],
+    )
+    def test_nan_scores_rank_last(self, spec, want):
+        balls = [ball_of([c], r, (i,), lab) for i, (c, r, lab) in enumerate(spec)]
+        assert classify(balls, [0.0]) == want
+        assert classify(balls, [[0.0], [0.0]]).tolist() == [want] * 2
+
+    def test_batch_of_no_points_is_empty(self):
+        balls = [ball_of([0.0, 0.0], 1.0, (0,), 3)]
+        assert classify(balls, np.empty((0, 2))).shape == (0,)
+        assert classify(balls, [[0.0, 0.0]]).tolist() == [3]
+
+    def test_scalar_point_when_one_dimensional(self):
+        balls = [ball_of([-2.0], 1.0, (0,), 0), ball_of([2.0], 0.5, (1,), 1)]
+        assert classify(balls, 1.9) == classify(balls, [1.9]) == 1
+        assert isinstance(classify(balls, 1.9), int)
+
+    @pytest.mark.parametrize("point", [[1.0], 3.0, [1.0, 2.0, 3.0], [[1.0], [2.0]]])
+    def test_wrong_dimension_refused(self, point):
+        balls = [ball_of([0.0, 0.0], 1.0, (0,), 0), ball_of([3.0, 3.0], 1.0, (1,), 1)]
+        with pytest.raises(ValueError, match="dimension 2"):
+            classify(balls, point)
+
+    @pytest.mark.parametrize("point", [[np.nan, np.nan], [np.inf, 0.0], [[0.0, 0.0], [0.0, -np.inf]]])
+    def test_non_finite_point_refused(self, point):
+        balls = [ball_of([0.0, 0.0], 1.0, (0,), 0), ball_of([3.0, 3.0], 1.0, (1,), 1)]
+        with pytest.raises(ValueError, match="finite"):
+            classify(balls, point)
+
+    def test_more_than_two_array_dimensions_refused(self):
+        balls = [ball_of([0.0, 0.0], 1.0, (0,), 0)]
+        with pytest.raises(ValueError, match="dimension"):
+            classify(balls, np.zeros((2, 3, 2)))
+
+
+class TestBallSet:
+    @pytest.fixture(scope="class")
+    def result(self):
+        x, y = noisy_classes(300, seed=4)
+        ds = LabeledDataset.build(x, y.tolist())
+        return generate(ds, GbConfig(purity_threshold=0.95, min_points=4, seed=5, overlap_resolution=True))
+
+    def test_arrays_follow_the_balls(self, result):
+        balls = result.balls
+        assert isinstance(balls, BallSet) and len(balls) > 10
+        assert balls.centers.shape == (len(balls), 4)
+        assert balls.radii.tolist() == [b.radius for b in balls]
+        assert balls.labels.tolist() == [b.majority_label for b in balls]
+        assert balls.labeled.tolist() == [b.majority_label is not None for b in balls]
+        assert balls.first.tolist() == [b.members[0] for b in balls]
+
+    def test_arrays_and_center_rows_are_read_only(self, result):
+        balls = result.balls
+        for a in (balls.centers, balls.radii, balls.labels, balls.labeled, balls.first):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = a[1]
+        for i, b in enumerate(balls):
+            assert not b.center.flags.writeable
+            assert np.shares_memory(b.center, balls.centers) and b.center.tobytes() == balls.centers[i].tobytes()
+        with pytest.raises(ValueError):
+            balls[0].center[0] = 1.0
+
+    def test_slices_are_plain_lists(self, result):
+        tail = result.balls[1:]
+        assert type(tail) is list and len(tail) == len(result.balls) - 1
+        assert [b.members for b in [result.balls[0]] + tail] == [b.members for b in result.balls]
+
+    def test_a_plain_list_result_is_packed(self, result):
+        shrunk = dataclasses.replace(result.balls[0], members=result.balls[0].members[1:])
+        replaced = dataclasses.replace(result, balls=[shrunk] + result.balls[1:])
+        assert isinstance(replaced.balls, BallSet)
+        assert replaced.balls.first[0] == shrunk.members[0]
+        points = result.balls.centers
+        assert classify(replaced.balls, points).tolist() == classify(result.balls, points).tolist()
+
+
+def per_ball_minimum(balls, p, fn):
+    """Reference label: the labeled ball of least (score, radius, id) by one ``eval`` per ball."""
+    best = min(
+        (i for i, b in enumerate(balls) if b.majority_label is not None),
+        key=lambda i: (fn.eval(p, balls[i].center) - balls[i].radius, balls[i].radius, i),
+    )
+    return balls[best].majority_label
 
 
 def two_blob_pair_heldout(n_per=50, gap=8.0, seed=77):
