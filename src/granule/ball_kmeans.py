@@ -18,6 +18,7 @@ exactly for strict improvement.)
 from __future__ import annotations
 
 import enum
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -191,26 +192,26 @@ def prune_neighbor_check(
 
 def init_clusters(ds: Dataset, cfg: BkmConfig) -> list[np.ndarray]:
     """Seeded initial memberships: k non-empty disjoint index sets covering all points."""
-    assign = _init_assignments(ds, cfg)
+    assign = _init_assignments(ds.points, cfg.k, cfg.seed, cfg.init)
     return [np.flatnonzero(assign == i) for i in range(cfg.k)]
 
 
-def _init_assignments(ds: Dataset, cfg: BkmConfig) -> np.ndarray:
-    """The assignment array of ``init_clusters``."""
-    n = ds.n
-    if cfg.k > n:
-        raise ConfigError(f"k={cfg.k} exceeds dataset size n={n}")
-    rng = np.random.default_rng(cfg.seed)
-    if cfg.init is Init.RANDOM_PARTITION:
+def _init_assignments(x: np.ndarray, k: int, seed: int, init: Init) -> np.ndarray:
+    """The assignment array of ``init_clusters`` over the rows of ``x``."""
+    n = x.shape[0]
+    if k > n:
+        raise ConfigError(f"k={k} exceeds dataset size n={n}")
+    rng = np.random.default_rng(seed)
+    if init is Init.RANDOM_PARTITION:
         perm = rng.permutation(n)
         assign = np.empty(n, dtype=int)
-        assign[perm[: cfg.k]] = np.arange(cfg.k)  # anchors keep every cluster non-empty
-        if n > cfg.k:
-            assign[perm[cfg.k :]] = rng.integers(0, cfg.k, size=n - cfg.k)
+        assign[perm[:k]] = np.arange(k)  # anchors keep every cluster non-empty
+        if n > k:
+            assign[perm[k:]] = rng.integers(0, k, size=n - k)
     else:
-        chosen, assign = _plus_plus(ds.points, cfg.k, rng)
+        chosen, assign = _plus_plus(x, k, rng)
         # chosen points anchor their own cluster (guards duplicate-point draws)
-        assign[chosen] = np.arange(cfg.k)
+        assign[chosen] = np.arange(k)
     return assign
 
 
@@ -255,25 +256,27 @@ def _centers_of(x: np.ndarray, assign: np.ndarray, k: int) -> tuple[np.ndarray, 
     return centers, order, bounds
 
 
-def _repair_empty(assign: np.ndarray, k: int, donor_dists, stats: RunStats) -> int:
-    """Refill emptied clusters with the farthest point of the currently largest one.
+def _repair_empty(assign: np.ndarray, k: int, donor_dists, stats: RunStats, groups: int = 1) -> np.ndarray:
+    """Refill emptied clusters with the farthest point of the currently largest one of their group.
 
-    ``donor_dists(members, cluster)`` must return that cluster's member
-    distances to its center.  Deterministic: lowest empty index first, first
-    maximal donor, first farthest point.
+    Group g owns cluster ids g k .. g k + k - 1.  ``donor_dists(members,
+    cluster)`` must return that cluster's member distances to its center.
+    Deterministic: lowest empty id first, first maximal donor of its group,
+    first farthest point.  Returns the number of moves per group.
     """
-    moved = 0
-    sizes = np.bincount(assign, minlength=k)
+    moved = np.zeros(groups, dtype=int)
+    sizes = np.bincount(assign, minlength=groups * k)
     while (sizes == 0).any():
         empty = int(np.flatnonzero(sizes == 0)[0])
-        donor = int(np.argmax(sizes))
+        base = empty - empty % k
+        donor = base + int(np.argmax(sizes[base : base + k]))
         mem = np.flatnonzero(assign == donor)
         far = int(mem[int(np.argmax(donor_dists(mem, donor)))])
         assign[far] = empty
         sizes[donor] -= 1
         sizes[empty] += 1
         stats.empty_cluster_repairs += 1
-        moved += 1
+        moved[empty // k] += 1
     return moved
 
 
@@ -299,17 +302,20 @@ def reassign(
     k = centers.shape[0]
     d_own = counter.rows(ds.points, centers[assign])
     dmat, _, _ = _center_pairs(centers, radii, _pair_tables(k), None, None, counter)
-    new_assign, moved, _, _ = _annulus_pass(ds.points, centers, radii, assign, d_own, dmat, counter)
+    new_assign, _, _ = _annulus_pass(ds.points, centers, radii, assign, d_own, dmat, counter)
+    moved = int(np.count_nonzero(new_assign != assign))
     if repair_empty:
         donor = lambda mem, c: counter.rows(ds.points[mem], centers[c])
-        moved += _repair_empty(new_assign, k, donor, RunStats())
+        moved += int(_repair_empty(new_assign, k, donor, RunStats())[0])
     return new_assign, moved
 
 
-def _pair_tables(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Index tables over (k, k): lower and upper cluster index of each pair, and i < j."""
+def _pair_tables(k: int, groups: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index tables over the (groups, k, k) center pairs inside each group: the lower and upper
+    cluster id of each pair (group g owns ids g k .. g k + k - 1), and the local i < j mask."""
     ids = np.arange(k)
-    return np.minimum.outer(ids, ids), np.maximum.outer(ids, ids), ids[:, None] < ids
+    base = (np.arange(groups) * k)[:, None, None]
+    return base + np.minimum.outer(ids, ids), base + np.maximum.outer(ids, ids), ids[:, None] < ids
 
 
 def _center_pairs(
@@ -320,28 +326,29 @@ def _center_pairs(
     lb: Optional[np.ndarray],
     counter: _Counter,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Center distances over the cluster pairs, skipping the pairs pruning rules out.
+    """Center distances over the cluster pairs of each group, skipping the pairs pruning rules out.
 
-    ``lb`` holds last iteration's lower bounds on the pair distances and
-    ``deltas`` the center shifts (both None on the first iteration).  A pair
-    pruned in both directions is not computed; its bound shrinks by the two
-    shifts.  Every other i<j pair is computed, all in one row-kernel call.
-    Returns (dmat, new bounds, fired); dmat is nan where no distance was
-    computed and fired[i, j] says the pruning test ruled j out for i.
+    ``tables`` come from ``_pair_tables``, and every array over pairs is one
+    (k, k) block per group.  ``lb`` holds last iteration's lower bounds on
+    the pair distances and ``deltas`` the center shifts (both None on the
+    first iteration).  A pair pruned in both directions is not computed; its
+    bound shrinks by the two shifts.  Every other i<j pair is computed, all
+    in one row-kernel call.  Returns (dmat, new bounds, fired); dmat is nan
+    where no distance was computed and fired[g, i, j] says the pruning test
+    ruled j out for i.
     """
     lo, hi, upper = tables
-    k = centers.shape[0]
     if deltas is None:
-        fired = skip = np.zeros((k, k), dtype=bool)
+        fired = skip = np.zeros(lo.shape, dtype=bool)
     else:
         dlo, dhi = deltas[lo], deltas[hi]  # (2r + d_lo) + d_hi: one float sum per pair
-        fired = prune_neighbor_check(lb, radii[:, None], dlo, dhi)
-        skip = fired & fired.T
-    ti, tj = np.nonzero(upper & ~skip)
-    d = counter.rows(centers[tj], centers[ti])
-    dmat = np.full((k, k), np.nan)
-    dmat[ti, tj] = d
-    dmat[tj, ti] = d
+        fired = prune_neighbor_check(lb, radii.reshape(lo.shape[:2] + (1,)), dlo, dhi)
+        skip = fired & fired.swapaxes(1, 2)
+    pairs = upper & ~skip
+    d = counter.rows(centers[hi[pairs]], centers[lo[pairs]])
+    dmat = np.full(lo.shape, np.nan)
+    dmat[pairs] = d
+    dmat.swapaxes(1, 2)[pairs] = d
     newlb = dmat if deltas is None else np.where(skip, lb - dlo - dhi, dmat)
     return dmat, newlb, fired
 
@@ -354,22 +361,26 @@ def _annulus_pass(
     d_own: np.ndarray,
     dmat: np.ndarray,
     counter: _Counter,
-) -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
-    """Annulus-bounded reassignment; dmat holds center distances (nan = not computed).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Annulus-bounded reassignment; dmat holds the (groups, k, k) center distances of
+    ``_center_pairs`` (nan = not computed).
 
-    Returns (new assignments, moves, stable-point mask, neighbor matrix).
+    Returns (new assignments, stable-point mask, neighbor matrix); row c of
+    the (groups k, k) neighbor matrix covers the k clusters of c's group.
     Each cluster's neighbors are ranked by (center distance, id), and a point
     in annulus m is compared against the first m of them.  The (point,
     candidate) pairs go to the row kernel in chunks of at most n rows; a point
     moves only to a strictly closer candidate, the nearest one, exact ties to
     the lowest id.
     """
-    n, k = x.shape[0], centers.shape[0]
+    n, k = x.shape[0], dmat.shape[-1]
+    dmat = dmat.reshape(-1, k)
     near = dmat < 2.0 * radii[:, None]
     key = np.where(near, dmat, np.inf)
     width = np.count_nonzero(near, axis=1)
-    ranked = np.argsort(key, axis=1, kind="stable")[:, : width.max()]  # non-neighbors last
-    bounds = np.take_along_axis(key, ranked, axis=1) / 2.0  # annulus bounds, inf-padded
+    local = np.argsort(key, axis=1, kind="stable")[:, : width.max()]  # non-neighbors last
+    bounds = np.take_along_axis(key, local, axis=1) / 2.0  # annulus bounds, inf-padded
+    ranked = local + (np.arange(len(dmat)) // k * k)[:, None]  # ids of the group's own clusters
     stable = d_own <= key.min(axis=1).take(assign) / 2.0
     pts = np.flatnonzero(~stable)
     own = assign.take(pts)
@@ -379,7 +390,6 @@ def _annulus_pass(
     pts, own, dd, labels = pts[keep], own[keep], dd[keep], labels[keep]
     ends = np.cumsum(labels)
     new_assign = assign.copy()
-    moved = 0
     lo = 0
     while lo < pts.size:
         base = ends[lo] - labels[lo]
@@ -391,12 +401,102 @@ def _annulus_pass(
         cand = ranked[own[lo:hi].take(seg), np.arange(seg.size) - starts.take(seg)]
         dist = counter.rows(x[pts[lo:hi].take(seg)], centers[cand])
         best = np.minimum.reduceat(dist, starts)
-        first = np.minimum.reduceat(np.where(dist == best.take(seg), cand, k), starts)  # lowest id
+        first = np.minimum.reduceat(np.where(dist == best.take(seg), cand, len(centers)), starts)  # lowest id
         movers = best < dd[lo:hi]  # strict improvement only
         new_assign[pts[lo:hi][movers]] = first[movers]
-        moved += int(np.count_nonzero(movers))
         lo = hi
-    return new_assign, moved, stable, near
+    return new_assign, stable, near
+
+
+def _cluster_groups(
+    x: np.ndarray,
+    bounds: Sequence[int],
+    seeds: Sequence[int],
+    cfg: BkmConfig,
+    stats: RunStats,
+    *,
+    instrument: bool = False,
+    history: Optional[list] = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The clustering loop of ``run`` over independent groups of rows, in one array pass.
+
+    Rows ``bounds[g]:bounds[g + 1]`` of ``x`` are group g, initialized with
+    ``cfg`` and seed ``seeds[g]``.  Group g owns the cluster ids g k .. g k +
+    k - 1, and only its own centers pair up, as one (k, k) block of the pair
+    arrays.  A group that converges leaves the pass, so every group gets the
+    partition, centers, radii and distance count it would get alone.
+    Returns (cluster id per row, centers (G k, d), radii, converged per
+    group); ``stats`` gets the totals over the groups and ``history`` (a list,
+    or None) the ids after each iteration, all rows while no group has left.
+    """
+    fn = cfg.distance
+    _require_metric(fn)
+    k = cfg.k
+    counter = _Counter(fn)
+    uncounted = lambda m, v: row_distances(fn, m, v)
+    spans = list(zip(bounds, bounds[1:], seeds))
+    assign = np.concatenate([_init_assignments(x[a:b], k, s, cfg.init) + g * k for g, (a, b, s) in enumerate(spans)])
+    if history is not None:
+        history.append(assign.copy())
+    out = np.empty_like(assign)
+    out_centers = np.empty((len(spans) * k, x.shape[1]))
+    out_radii = np.empty(len(spans) * k)
+    converged = np.zeros(len(spans), dtype=bool)
+    live = np.arange(len(spans))  # input group of each group still in the pass
+    rows = np.arange(x.shape[0])  # input row of each row still in the pass
+    tables = _pair_tables(k, len(live))
+    prev_centers = None
+    lb = None  # lower bounds on previous-iteration center distances, per pair
+    for iteration in range(1, cfg.max_iter + 1):
+        centers, order, cuts = _centers_of(x, assign, len(live) * k)
+        deltas = None if prev_centers is None else counter.rows(centers, prev_centers)
+        d_own = counter.rows(x, centers[assign])
+        radii = np.maximum.reduceat(d_own[order], cuts[:-1])
+        dmat, lb, fired = _center_pairs(centers, radii, tables, deltas, lb, counter)
+        stats.prunings_fired += int(np.count_nonzero(fired))
+
+        new_assign, stable, near = _annulus_pass(x, centers, radii, assign, d_own, dmat, counter)
+        stats.neighbor_free_stable_clusters += int(np.count_nonzero(~near.any(axis=1)))
+
+        if instrument:
+            dfull = _full_scan(uncounted, x, centers)
+            dfull[assign[:, None] // k != np.arange(len(centers)) // k] = np.inf  # other groups' centers
+            best_full = dfull.min(axis=1)
+            st = np.flatnonzero(stable)
+            stats.stable_violations += int((dfull[st, assign[st]] != best_full[st]).sum())
+            mv = np.flatnonzero(new_assign != assign)
+            stats.move_target_violations += int((~near[assign[mv], new_assign[mv] % k]).sum())
+            g = np.arange(len(live))
+            dc = _full_scan(uncounted, centers, centers).reshape(len(live), k, len(live), k)[g, :, g]
+            stats.pruning_violations += int(np.count_nonzero(fired & (dc < 2.0 * radii.reshape(-1, k, 1))))
+
+        moved = np.bincount(new_assign[new_assign != assign] // k, minlength=len(live))
+        donor = lambda mem, c: counter.rows(x[mem], centers[c])
+        moved += _repair_empty(new_assign, k, donor, stats, len(live))
+        stats.points_moved_per_iter.append(int(moved.sum()))
+        stats.iterations = iteration
+        assign = new_assign
+        if history is not None:
+            history.append(assign.copy())
+        done = moved == 0 if iteration < cfg.max_iter else np.ones(len(live), dtype=bool)
+        if done.any():
+            # finished groups write out their rows, centers and radii under their input ids
+            group = assign // k
+            fin, cfin = done[group], np.repeat(done, k)
+            out[rows[fin]] = assign[fin] + (live[group[fin]] - group[fin]) * k
+            ids = (live[done][:, None] * k + np.arange(k)).ravel()
+            out_centers[ids], out_radii[ids] = centers[cfin], radii[cfin]
+            converged[live[done]] = moved[done] == 0
+            if done.all():
+                break
+            # the rest renumber to close the gaps
+            x, rows, assign = x[~fin], rows[~fin], assign[~fin] - np.cumsum(done)[group[~fin]] * k
+            centers, lb, live = centers[~cfin], lb[~done], live[~done]
+            tables = _pair_tables(k, len(live))
+        prev_centers = centers
+
+    stats.distance_computations = counter.count
+    return out, out_centers, out_radii, converged
 
 
 def run(
@@ -413,61 +513,18 @@ def run(
     ``instrument`` re-checks every stable point, move target and fired pruning
     against uncounted brute-force distances, accumulating violation counters.
     """
-    fn = cfg.distance
-    _require_metric(fn)
-    x = ds.points
-    k = cfg.k
-    counter = _Counter(fn)
-    uncounted = lambda m, v: row_distances(fn, m, v)
-    assign = _init_assignments(ds, cfg)
     stats = RunStats()
-    history = [assign.copy()]
-    tables = _pair_tables(k)
-    prev_centers = None
-    lb = None  # lower bounds on previous-iteration center distances, per pair
-    converged = False
-    for iteration in range(1, cfg.max_iter + 1):
-        centers, order, bounds = _centers_of(x, assign, k)
-        deltas = None if prev_centers is None else counter.rows(centers, prev_centers)
-        d_own = counter.rows(x, centers[assign])
-        radii = np.maximum.reduceat(d_own[order], bounds[:-1])
-        dmat, lb, fired = _center_pairs(centers, radii, tables, deltas, lb, counter)
-        stats.prunings_fired += int(np.count_nonzero(fired))
-
-        new_assign, moved, stable, near = _annulus_pass(
-            x, centers, radii, assign, d_own, dmat, counter
-        )
-        stats.neighbor_free_stable_clusters += int(np.count_nonzero(~near.any(axis=1)))
-
-        if instrument:
-            dfull = _full_scan(uncounted, x, centers)
-            best_full = dfull.min(axis=1)
-            st = np.flatnonzero(stable)
-            stats.stable_violations += int((dfull[st, assign[st]] != best_full[st]).sum())
-            mv = np.flatnonzero(new_assign != assign)
-            stats.move_target_violations += int((~near[assign[mv], new_assign[mv]]).sum())
-            dc = _full_scan(uncounted, centers, centers)
-            stats.pruning_violations += int(np.count_nonzero(fired & (dc < 2.0 * radii[:, None])))
-
-        donor = lambda mem, c: counter.rows(x[mem], centers[c])
-        moved += _repair_empty(new_assign, k, donor, stats)
-        stats.points_moved_per_iter.append(int(moved))
-        stats.iterations = iteration
-        assign = new_assign
-        history.append(assign.copy())
-        if moved == 0:
-            converged = True
-            break
-        prev_centers = centers
-
-    stats.distance_computations = counter.count
+    history = [] if record_history else None
+    assign, centers, radii, converged = _cluster_groups(
+        ds.points, [0, ds.n], [cfg.seed], cfg, stats, instrument=instrument, history=history
+    )
     result = Clustering(
         assignments=assign,
         centers=centers,
         radii=radii,
-        converged=converged,
-        ties=_ties(_full_scan(uncounted, x, centers)),
-        history=history if record_history else None,
+        converged=bool(converged[0]),
+        ties=_ties(_full_scan(lambda m, v: row_distances(cfg.distance, m, v), ds.points, centers)),
+        history=history,
     )
     return result, stats
 
@@ -481,7 +538,7 @@ def lloyd_run(
     k = cfg.k
     fn = cfg.distance
     counter = _Counter(fn)
-    assign = _init_assignments(ds, cfg)
+    assign = _init_assignments(x, k, cfg.seed, cfg.init)
     stats = RunStats()
     history = [assign.copy()]
     converged = False
@@ -493,7 +550,7 @@ def lloyd_run(
         first = dfull.argmin(axis=1)
         new_assign = np.where(cur == best, assign, first)
         moved = int((new_assign != assign).sum())
-        moved += _repair_empty(new_assign, k, lambda mem, c: dfull[mem, c], stats)
+        moved += int(_repair_empty(new_assign, k, lambda mem, c: dfull[mem, c], stats)[0])
         stats.points_moved_per_iter.append(int(moved))
         stats.iterations = iteration
         assign = new_assign

@@ -11,15 +11,16 @@ pairwise disjoint).
 
 from __future__ import annotations
 
+import itertools
 import warnings
-from collections import Counter, deque
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
-from .ball_kmeans import BkmConfig, Dataset, Init, run
+from .ball_kmeans import BkmConfig, Dataset, Init, RunStats, _cluster_groups
 from .metrics import DistanceFn, _blocks, euclidean, row_distances
 
 __all__ = [
@@ -65,10 +66,19 @@ class LabeledDataset:
     def n(self) -> int:
         return self.points.n
 
+    @cached_property
+    def _label_array(self) -> tuple[np.ndarray, np.ndarray]:
+        """The labels as an array (0 where unlabeled) and the labeled mask."""
+        return np.array([0 if l is None else l for l in self.labels]), np.array([l is not None for l in self.labels])
+
 
 @dataclass(frozen=True)
 class GranularBall:
-    """Mean-center, mean-radius summary of a member index set."""
+    """Mean-center, mean-radius summary of a member index set.
+
+    Two balls are equal when their members, center bytes, radius, purity and
+    majority label are.
+    """
 
     center: np.ndarray
     radius: float
@@ -79,6 +89,13 @@ class GranularBall:
     @property
     def size(self) -> int:
         return len(self.members)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, GranularBall):
+            return NotImplemented
+        return (self.members, self.center.tobytes(), self.radius, self.purity, self.majority_label) == (
+            other.members, other.center.tobytes(), other.radius, other.purity, other.majority_label
+        )
 
 
 def _arrays(balls: Sequence[GranularBall]) -> tuple:
@@ -120,6 +137,11 @@ class BallSet(Sequence):
     def __repr__(self) -> str:
         return f"BallSet({list(self._balls)!r})"
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, BallSet):
+            return NotImplemented
+        return self._balls == other._balls
+
 
 @dataclass(frozen=True)
 class GbConfig:
@@ -160,12 +182,14 @@ class GbResult:
 
 
 def _label_stats(ds: LabeledDataset, members: Sequence[int]) -> tuple[Optional[float], Optional[int]]:
-    labeled = [ds.labels[i] for i in members if ds.labels[i] is not None]
-    if not labeled:
+    """Majority-label share among the labeled members and that label, ties to the smallest label."""
+    values, labeled = ds._label_array
+    idx = np.asarray(members, dtype=np.intp)
+    found, counts = np.unique(values[idx[labeled[idx]]], return_counts=True)
+    if not found.size:
         return None, None
-    counts = Counter(labeled)
-    top = max(counts.items(), key=lambda kv: (kv[1], -kv[0]))  # ties to smallest label
-    return top[1] / len(labeled), top[0]
+    top = int(np.argmax(counts))  # the first maximal count: the smallest label
+    return int(counts[top]) / int(counts.sum()), int(found[top])
 
 
 def make_ball(ds: LabeledDataset, members: Sequence[int], distance: DistanceFn = None) -> GranularBall:
@@ -176,15 +200,18 @@ def make_ball(ds: LabeledDataset, members: Sequence[int], distance: DistanceFn =
     if mem[0] < 0 or mem[-1] >= ds.n or len(set(mem)) < len(mem):
         bad = next(i for i, j in zip(mem, mem[1:] + (ds.n,)) if i < 0 or i >= j)  # sorted: a repeat is not below its successor
         raise ValueError(f"member index {bad} is repeated or outside 0..{ds.n - 1}")
-    fn = distance if distance is not None else euclidean()
-    pts = ds.points.points[list(mem)]
+    return _ball(ds, np.array(mem), distance if distance is not None else euclidean())
+
+
+def _ball(ds: LabeledDataset, idx: np.ndarray, fn: DistanceFn) -> GranularBall:
+    """``make_ball`` over a non-empty, ascending array of distinct valid indices, unchecked."""
+    pts = ds.points.points[idx]
     center = pts.mean(axis=0)
-    dists = row_distances(fn, pts, center)
-    pur, maj = _label_stats(ds, mem)
+    pur, maj = _label_stats(ds, idx)
     return GranularBall(
         center=center,
-        radius=float(dists.mean()),
-        members=mem,
+        radius=float(row_distances(fn, pts, center).mean()),
+        members=tuple(idx.tolist()),
         purity=pur,
         majority_label=maj,
     )
@@ -208,13 +235,24 @@ def split(ds: LabeledDataset, ball: GranularBall, k: int, seed: int = 0, depth: 
     """
     if ball.size < k:
         raise SplitRefused(f"ball of {ball.size} members cannot be split into {k} parts")
-    sub = Dataset(ds.points.points[list(ball.members)])
-    cfg = BkmConfig(k=k, seed=_child_seed(seed, depth, ball.members[0]), init=Init.PLUS_PLUS)
-    clustering, _ = run(sub, cfg)
-    members = np.asarray(ball.members, dtype=int)
-    children = [make_ball(ds, members[np.flatnonzero(clustering.assignments == c)]) for c in range(k)]
-    children.sort(key=lambda b: b.members[0])
-    return children
+    return _split_frontier(ds, [ball], k, seed, depth)[0]
+
+
+def _split_frontier(ds: LabeledDataset, balls: Sequence[GranularBall], k: int, seed: int, depth: int) -> list:
+    """The ``split`` children of each ball (of at least k members) at one depth, from one clustering pass.
+
+    Each ball is one group of the pass, ++-seeded from its depth and smallest
+    member, so it gets the partition ``run`` gives its members alone.
+    """
+    idx = np.concatenate([np.asarray(b.members, dtype=np.intp) for b in balls])
+    bounds = np.cumsum([0] + [b.size for b in balls]).tolist()
+    cfg = BkmConfig(k=k, init=Init.PLUS_PLUS)
+    seeds = [_child_seed(seed, depth, b.members[0]) for b in balls]
+    assign, _, _, _ = _cluster_groups(ds.points.points[idx], bounds, seeds, cfg, RunStats())
+    order = np.argsort(assign, kind="stable")  # by child, members ascending within each
+    cuts = np.cumsum(np.bincount(assign, minlength=len(balls) * k)).tolist()
+    children = [_ball(ds, idx[order[a:b]], cfg.distance) for a, b in zip([0] + cuts, cuts)]
+    return [sorted(children[g * k : g * k + k], key=lambda c: c.members[0]) for g in range(len(balls))]
 
 
 def check_major_minor(major: GranularBall, minors: Sequence[GranularBall]) -> bool:
@@ -268,30 +306,35 @@ def _result(entries: list, audit: list, unresolved: Sequence = ()) -> GbResult:
 
 
 def generate(ds: LabeledDataset, cfg: GbConfig) -> GbResult:
-    """Worklist refinement from the whole-dataset ball down to stop-satisfying balls.
+    """Breadth-first refinement from the whole-dataset ball down to stop-satisfying balls.
 
     A ball is final on sufficient purity, on reaching min_points or the depth
-    cap, or when a split is refused; the reason is recorded per ball.  Final
-    member sets partition the dataset indices.
+    cap, or when a split is refused (fewer than ``split_k`` members); the
+    reason is recorded per ball.  Final member sets partition the dataset
+    indices.  The balls of one depth are split in one clustering pass, each
+    with its own seed, into the children ``split`` gives it alone.
     """
     if all(l is None for l in ds.labels):
         raise ValueError("granular-ball generation needs at least one labeled point")
-    work = deque([(make_ball(ds, range(ds.n)), 0)])
+    frontier = [make_ball(ds, range(ds.n))]
     final: list[tuple[GranularBall, str, int]] = []
     audit = []
-    while work:
-        ball, depth = work.popleft()
-        reason = _stop_reason(ball, depth, cfg)
-        if reason is not None:
-            final.append((ball, reason, depth))
-            continue
-        try:
-            children = split(ds, ball, cfg.split_k, seed=cfg.seed, depth=depth)
-        except SplitRefused:
-            final.append((ball, "split_refused", depth))
-            continue
-        audit.append((ball.members, tuple(c.members for c in children), check_major_minor(ball, children)))
-        work.extend((child, depth + 1) for child in children)
+    for depth in itertools.count():
+        todo = []
+        for ball in frontier:
+            reason = _stop_reason(ball, depth, cfg)
+            if reason is None and ball.size < cfg.split_k:
+                reason = "split_refused"
+            if reason is None:
+                todo.append(ball)
+            else:
+                final.append((ball, reason, depth))
+        if not todo:
+            break
+        frontier = []
+        for ball, children in zip(todo, _split_frontier(ds, todo, cfg.split_k, cfg.seed, depth)):
+            audit.append((ball.members, tuple(c.members for c in children), check_major_minor(ball, children)))
+            frontier += children
     result = _result(final, audit)
     if cfg.overlap_resolution:
         result = resolve_overlaps(ds, result, cfg)

@@ -11,6 +11,8 @@ from granule.ball_kmeans import (
     ConfigError,
     Dataset,
     Init,
+    RunStats,
+    _cluster_groups,
     annular_regions,
     init_clusters,
     lloyd_run,
@@ -370,6 +372,40 @@ class TestRun:
         if clustering.ties:
             point, clusters = clustering.ties[0]
             assert len(clusters) > 1
+
+
+class TestGroupedPass:
+    """One pass over independent groups of rows gives each group what ``run`` gives it alone."""
+
+    @pytest.mark.parametrize(
+        "k, init, max_iter",
+        # k=8: empty-cluster repairs in three groups; max_iter=3: one group stops unconverged
+        [(1, Init.PLUS_PLUS, 200), (2, Init.PLUS_PLUS, 200), (3, Init.RANDOM_PARTITION, 200), (8, Init.RANDOM_PARTITION, 200),
+         (5, Init.PLUS_PLUS, 200), (3, Init.RANDOM_PARTITION, 3)],
+    )
+    def test_each_group_as_alone(self, k, init, max_iter):
+        rng = np.random.default_rng(k)
+        sizes = [k, k + 1, 7 + k, 30, 120, 3 * k, 60]
+        # odd groups are normal clouds, even ones small integer grids full of duplicate points
+        parts = [rng.normal(0, 1, (m, 2)) if g % 2 else rng.integers(0, 4, (m, 2)).astype(float) for g, m in enumerate(sizes)]
+        bounds = np.cumsum([0] + sizes).tolist()
+        seeds = [11 * g + 1 for g in range(len(sizes))]
+        cfg = BkmConfig(k=k, init=init, max_iter=max_iter)
+        stats = RunStats()
+        assign, centers, radii, converged = _cluster_groups(np.concatenate(parts), bounds, seeds, cfg, stats, instrument=True)
+        alone = [run(Dataset(p), dataclasses.replace(cfg, seed=s)) for p, s in zip(parts, seeds)]
+        for g, (c, _) in enumerate(alone):
+            assert np.array_equal(assign[bounds[g] : bounds[g + 1]], c.assignments + g * k)
+            assert centers[g * k : g * k + k].tobytes() == c.centers.tobytes()
+            assert radii[g * k : g * k + k].tobytes() == c.radii.tobytes()
+            assert converged[g] == c.converged
+        per = [s for _, s in alone]
+        for name in ("distance_computations", "prunings_fired", "empty_cluster_repairs", "neighbor_free_stable_clusters"):
+            assert getattr(stats, name) == sum(getattr(s, name) for s in per)
+        assert stats.iterations == max(s.iterations for s in per)
+        moved = [sum(s.points_moved_per_iter[i] for s in per if i < s.iterations) for i in range(stats.iterations)]
+        assert stats.points_moved_per_iter == moved
+        assert stats.stable_violations == stats.move_target_violations == stats.pruning_violations == 0
 
 
 class TestDistances:

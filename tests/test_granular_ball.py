@@ -1,5 +1,5 @@
+import collections
 import dataclasses
-import functools
 import warnings
 
 import numpy as np
@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from granule import granular_ball, metrics
+from granule.ball_kmeans import BkmConfig, Dataset, Init, run
 from granule.granular_ball import (
     BallSet,
     GbConfig,
@@ -55,6 +56,14 @@ class TestMakeBall:
         b = make_ball(ds, range(6))
         assert b.purity == pytest.approx(4 / 6)
         assert b.majority_label == 0
+
+    def test_label_ties_go_to_the_smallest_label(self):
+        # labels may be negative or beyond int64, and unlabeled members do not count
+        for labels, want in (([3, -2, 3, -2, None], -2), ([2**70, 5, None, 2**70, 5], 5)):
+            ds = LabeledDataset.build([[float(i)] for i in range(5)], labels)
+            b = make_ball(ds, range(5))
+            assert (b.majority_label, b.purity) == (want, 0.5)
+            assert type(b.majority_label) is int and type(b.purity) is float
 
     def test_empty_member_set_rejected(self):
         ds = LabeledDataset.build([[0.0]], [0])
@@ -287,6 +296,7 @@ class TestResolveOverlaps:
         ds = LabeledDataset.build(x, y.tolist())
         cfg = GbConfig(purity_threshold=0.95, min_points=min_points, split_k=split_k, seed=5)
         base = generate(ds, cfg)
+        assert base == per_ball_generate(ds, cfg)
         resolved = resolve_overlaps(ds, base, cfg)
         assert len(resolved.split_audit) > len(base.split_audit)
         assert bool(resolved.unresolved_overlaps) == (min_points > 1)  # stuck pairs are covered
@@ -313,6 +323,7 @@ class TestResolveOverlaps:
         cfg = GbConfig(purity_threshold=0.95, min_points=4)
         base = generate(ds, cfg)
         assert any(b.majority_label is None for b in base.balls)
+        assert base == per_ball_generate(ds, cfg)
         with pytest.warns(UserWarning):
             resolved = resolve_overlaps(ds, base, cfg)
         assert len(resolved.split_audit) > len(base.split_audit)
@@ -330,6 +341,7 @@ class TestResolveOverlaps:
         ds = LabeledDataset.build(x, y.tolist())
         cfg = GbConfig(purity_threshold=0.95, min_points=min_points, split_k=split_k, max_depth=max_depth)
         base = generate(ds, cfg)
+        assert base == per_ball_generate(ds, cfg)
         resolved = resolve_overlaps(ds, base, cfg)
         assert len(resolved.split_audit) > len(base.split_audit)
         assert_same_result(resolved, table_resolve_overlaps(ds, base, cfg))
@@ -351,9 +363,8 @@ class TestResolveOverlaps:
             return real.rows(m, v)
 
         counting = DistanceFn("counting", counted_eval, real.declared_kind, rows=counted_rows)
+        # split children are measured with the clustering's own distance, so only the pair table is counted
         monkeypatch.setattr(granular_ball, "euclidean", lambda: counting)
-        # children keep the real distance, so only the pair table is counted
-        monkeypatch.setattr(granular_ball, "make_ball", functools.partial(make_ball, distance=real))
         resolved = resolve_overlaps(ds, base, cfg)
         splits = len(resolved.split_audit) - len(base.split_audit)
         b0, b_max = len(base.balls), len(resolved.balls)
@@ -546,6 +557,122 @@ class TestBallSet:
         assert replaced.balls.first[0] == shrunk.members[0]
         points = result.balls.centers
         assert classify(replaced.balls, points).tolist() == classify(result.balls, points).tolist()
+
+
+class TestEquality:
+    def test_identical_results_compare_equal(self):
+        ds = LabeledDataset.build([[0.0, 0.0], [0.0, 1.0], [5.0, 5.0], [5.0, 6.0]], [0, 1, 1, 1])
+        cfg = GbConfig(purity_threshold=1.0)
+        first, second = generate(ds, cfg), generate(ds, cfg)
+        assert len(first.balls) > 1 and first.balls is not second.balls
+        assert first == second
+        assert first.balls == second.balls and first.balls[0] == second.balls[0]
+
+    def test_balls_differ_in_any_compared_field(self):
+        ball = ball_of([0.0, 1.0], 1.0, (0, 1), 0)
+        assert ball == ball_of([0.0, 1.0], 1.0, (0, 1), 0)
+        others = [
+            ball_of([0.0, 1.5], 1.0, (0, 1), 0),
+            ball_of([-0.0, 1.0], 1.0, (0, 1), 0),  # equal coordinates, other bytes
+            ball_of([0.0, 1.0], 2.0, (0, 1), 0),
+            ball_of([0.0, 1.0], 1.0, (0, 2), 0),
+            ball_of([0.0, 1.0], 1.0, (0, 1), 0, purity_=0.5),
+            ball_of([0.0, 1.0], 1.0, (0, 1), 1),
+        ]
+        assert all(ball != other for other in others)
+        assert ball != (0, 1)
+
+    def test_ball_sets_compare_element_by_element(self):
+        a, b = ball_of([0.0], 1.0, (0,), 0), ball_of([3.0], 1.0, (1,), 1)
+        assert BallSet([a, b]) == BallSet([ball_of([0.0], 1.0, (0,), 0), b])
+        assert BallSet([a, b]) != BallSet([b, a])
+        assert BallSet([a, b]) != BallSet([a])
+        res = GbResult(balls=[a, b], stop_reasons=["purity"] * 2, depths=[1, 1])
+        assert res == dataclasses.replace(res, balls=[a, b])
+        assert res != dataclasses.replace(res, balls=[a, dataclasses.replace(b, radius=2.0)])
+        assert res != dataclasses.replace(res, depths=[1, 2])
+
+
+class TestFrontierPass:
+    """``generate`` splits a whole depth in one pass and matches the per-ball worklist."""
+
+    @pytest.mark.parametrize(
+        "n, seed, cfg",
+        [
+            (600, 2, GbConfig(purity_threshold=0.95, split_k=3, seed=3)),
+            (600, 2, GbConfig(purity_threshold=0.95, min_points=2, split_k=4, seed=4)),
+            (600, 3, GbConfig(purity_threshold=1.0, max_depth=1)),
+            (600, 3, GbConfig(purity_threshold=1.0, max_depth=4, split_k=3, seed=9)),
+            (1000, 5, GbConfig(purity_threshold=0.9, min_points=4, seed=1, overlap_resolution=True)),
+        ],
+    )
+    def test_matches_per_ball_worklist(self, n, seed, cfg):
+        x, y = noisy_classes(n, seed=seed, noise=0.2)
+        ds = LabeledDataset.build(x, y.tolist())
+        got = generate(ds, cfg)
+        assert got.split_audit and ("max_depth" in got.stop_reasons) == (cfg.max_depth < 32)
+        assert got == per_ball_generate(ds, cfg)
+
+    def test_conflicting_duplicates_and_unlabeled_points(self):
+        # impure balls of fewer than split_k members stop as split_refused; every fifth point is unlabeled
+        x, y = noisy_classes(400, seed=6, noise=0.2)
+        x = np.concatenate([x, np.repeat(x[:1], 5, axis=0)])
+        labels = [None if i % 5 == 0 else v for i, v in enumerate(y.tolist())] + [0, 1, 2, 0, 1]
+        ds = LabeledDataset.build(x, labels)
+        for split_k in (3, 4):
+            cfg = GbConfig(purity_threshold=1.0, split_k=split_k, seed=2)
+            got = generate(ds, cfg)
+            assert "split_refused" in got.stop_reasons
+            assert got == per_ball_generate(ds, cfg)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 10**6),
+        st.integers(1, 40),
+        st.integers(1, 3),
+        st.sampled_from([0.6, 0.9, 1.0]),
+        st.integers(1, 4),
+        st.integers(2, 4),
+        st.integers(1, 6),
+    )
+    def test_matches_per_ball_worklist_on_small_sets(self, seed, n, d, threshold, min_points, split_k, max_depth):
+        rng = np.random.default_rng(seed)
+        x = rng.integers(0, 4, (n, d)).astype(float)  # coarse grid: duplicate points are common
+        labels = [None if v == 3 else int(v) for v in rng.integers(0, 4, n)]
+        labels[0] = 0
+        ds = LabeledDataset.build(x, labels)
+        cfg = GbConfig(threshold, min_points=min_points, split_k=split_k, max_depth=max_depth, seed=seed)
+        assert generate(ds, cfg) == per_ball_generate(ds, cfg)
+
+
+def per_ball_generate(ds, cfg):
+    """Reference: the per-ball worklist of ``generate`` in breadth-first order, one ``run`` per
+    split ball and children by ``make_ball``, then overlap resolution when the config asks for it."""
+    work = collections.deque([(make_ball(ds, range(ds.n)), 0)])
+    final, audit = [], []
+    while work:
+        ball, depth = work.popleft()
+        reason = granular_ball._stop_reason(ball, depth, cfg)
+        if reason is None and ball.size < cfg.split_k:
+            reason = "split_refused"
+        if reason is not None:
+            final.append((ball, reason, depth))
+            continue
+        seed = granular_ball._child_seed(cfg.seed, depth, ball.members[0])
+        clustering, _ = run(Dataset(ds.points.points[list(ball.members)]), BkmConfig(k=cfg.split_k, seed=seed, init=Init.PLUS_PLUS))
+        members = np.asarray(ball.members)
+        children = [make_ball(ds, members[clustering.assignments == c]) for c in range(cfg.split_k)]
+        children.sort(key=lambda b: b.members[0])
+        audit.append((ball.members, tuple(c.members for c in children), check_major_minor(ball, children)))
+        work.extend((child, depth + 1) for child in children)
+    final.sort(key=lambda e: e[0].members[0])
+    result = GbResult(
+        balls=[b for b, _, _ in final],
+        stop_reasons=[r for _, r, _ in final],
+        depths=[d for _, _, d in final],
+        split_audit=audit,
+    )
+    return resolve_overlaps(ds, result, cfg) if cfg.overlap_resolution else result
 
 
 def per_ball_minimum(balls, p, fn):
