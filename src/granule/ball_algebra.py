@@ -19,7 +19,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .metrics import DistanceFn, _blocks, _first_true, _require_tol, euclidean, row_distances
+from .metrics import DEFAULT_TOL, DistanceFn, _blocks, _first_true, _require_tol, euclidean, row_distances
 
 __all__ = [
     "AmbientBall",
@@ -38,7 +38,6 @@ __all__ = [
 ]
 
 DEFAULT_SCALAR_GRID = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
-DEFAULT_TOL = 1e-9
 
 
 class BallDomainError(ValueError):

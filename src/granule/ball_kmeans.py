@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .metrics import DistanceFn, Kind, euclidean, row_distances
+from .metrics import DistanceFn, Kind, _sqeuclidean_rows, euclidean, row_distances
 
 __all__ = [
     "Dataset",
@@ -34,8 +34,6 @@ __all__ = [
     "Init",
     "ConfigError",
     "init_clusters",
-    "annular_regions",
-    "reassign",
     "prune_neighbor_check",
     "run",
     "lloyd_run",
@@ -144,33 +142,12 @@ def _require_metric(fn: DistanceFn) -> None:
         )
 
 
-def annular_regions(
-    member_dists: np.ndarray, sorted_neighbor_dists: np.ndarray, radius: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Split members into the stable core and annular shells.
-
-    ``member_dists`` are distances from members to their own center and
-    ``sorted_neighbor_dists`` the ascending center distances of the k'
-    neighbors.  Returns (boundaries, labels): boundaries are the half center
-    distances; labels give 0 for the stable region and m in 1..k' for the mth
-    annulus (b_m, b_{m+1}], the last one extending to the cluster radius (0
-    beyond it).  Lower bounds are strict, upper bounds inclusive.
-    """
-    nd = np.asarray(sorted_neighbor_dists, dtype=float)
-    if nd.size == 0:
-        raise ValueError("annular regions need at least one neighbor")
-    bounds = nd / 2.0
-    d = np.asarray(member_dists, dtype=float)
-    return bounds, _annulus_labels(d, bounds, nd.size, radius)
-
-
 def _annulus_labels(d: np.ndarray, bounds: np.ndarray, width, radius) -> np.ndarray:
     """Annulus label of each distance ``d[i]``: the count of bounds strictly below it.
 
-    ``bounds`` is one ascending row shared by all distances or one
-    inf-padded ascending row per distance (= ``searchsorted(side="left")``);
-    ``width`` is the count of finite bounds.  A distance past the last bound
-    and beyond ``radius`` gets 0.
+    ``bounds`` is one inf-padded ascending row per distance (=
+    ``searchsorted(side="left")``) and ``width`` its count of finite bounds.
+    A distance past the last bound and beyond ``radius`` gets 0.
     """
     labels = np.count_nonzero(bounds < d[:, None], axis=1)
     labels[(labels == width) & (d > radius)] = 0
@@ -215,16 +192,11 @@ def _init_assignments(x: np.ndarray, k: int, seed: int, init: Init) -> np.ndarra
     return assign
 
 
-def _euclid_sq_rows(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    diff = m - v
-    return np.sum(diff * diff, axis=1)
-
-
 def _plus_plus(x: np.ndarray, k: int, rng: np.random.Generator) -> tuple[list[int], np.ndarray]:
     """k-means++ seeds (squared Euclidean) and each point's first nearest seed."""
     n = x.shape[0]
     chosen = [int(rng.integers(n))]
-    d2 = _euclid_sq_rows(x, x[chosen[0]])
+    d2 = _sqeuclidean_rows(x, x[chosen[0]])
     nearest = np.zeros(n, dtype=int)
     for j in range(1, k):
         total = float(d2.sum())
@@ -233,7 +205,7 @@ def _plus_plus(x: np.ndarray, k: int, rng: np.random.Generator) -> tuple[list[in
         else:
             nxt = int(np.setdiff1d(np.arange(n), np.array(chosen))[0])
         chosen.append(nxt)
-        col = _euclid_sq_rows(x, x[nxt])
+        col = _sqeuclidean_rows(x, x[nxt])
         closer = col < d2  # strict: the first minimum wins, as with argmin
         nearest[closer] = j
         d2 = np.minimum(d2, col)
@@ -278,36 +250,6 @@ def _repair_empty(assign: np.ndarray, k: int, donor_dists, stats: RunStats, grou
         stats.empty_cluster_repairs += 1
         moved[empty // k] += 1
     return moved
-
-
-def reassign(
-    ds: Dataset,
-    centers: np.ndarray,
-    radii: np.ndarray,
-    assign: np.ndarray,
-    distance: DistanceFn = None,
-    repair_empty: bool = True,
-) -> tuple[np.ndarray, int]:
-    """One candidate-bounded assignment pass against fixed centers.
-
-    Stable points are untouched; a point in annulus m is compared against its
-    own center and the first m closest neighbor centers only.  A cluster
-    emptied by the pass is refilled with the farthest point of the largest
-    cluster unless ``repair_empty`` is disabled.  Returns the new assignment
-    array and the move count.
-    """
-    fn = distance if distance is not None else euclidean()
-    _require_metric(fn)
-    counter = _Counter(fn)
-    k = centers.shape[0]
-    d_own = counter.rows(ds.points, centers[assign])
-    dmat, _, _ = _center_pairs(centers, radii, _pair_tables(k), None, None, counter)
-    new_assign, _, _ = _annulus_pass(ds.points, centers, radii, assign, d_own, dmat, counter)
-    moved = int(np.count_nonzero(new_assign != assign))
-    if repair_empty:
-        donor = lambda mem, c: counter.rows(ds.points[mem], centers[c])
-        moved += int(_repair_empty(new_assign, k, donor, RunStats())[0])
-    return new_assign, moved
 
 
 def _pair_tables(k: int, groups: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

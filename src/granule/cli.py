@@ -39,7 +39,7 @@ from .existential import (
     parse_system_file,
 )
 from .granular_ball import GbConfig, LabeledDataset, generate
-from .metrics import NAMED_DISTANCES, Kind, classify_distance
+from .metrics import DEFAULT_TOL, NAMED_DISTANCES, Kind, classify_distance
 from .rough_random import (
     approximation_set,
     bkm_crrf3_trace,
@@ -615,7 +615,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--metric", choices=sorted(NAMED_DISTANCES), default="euclidean")
     p.add_argument("--declare", choices=[k.value for k in Kind], default=None)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--max-sample", type=int, default=64, dest="max_sample")
 
     p = command("verify-algebra", _cmd_verify_algebra, "ball partial-operation law check")
@@ -623,7 +623,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius", type=float, required=True)
     p.add_argument("--v-csv", default=None, dest="v_csv", help="CSV of V points")
     p.add_argument("--grid", default=None, help="comma-separated scalar grid")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     add_out(p)
 
     p = command(

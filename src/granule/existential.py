@@ -316,13 +316,11 @@ def _join_closure(sys: FinitePartialSystem, seeds: np.ndarray) -> np.ndarray:
 def check_admissible(
     sys: FinitePartialSystem,
     granules: Optional[Sequence[int]] = None,
-    *,
-    mixed_depth2: bool = True,
 ) -> AdmissibleReport:
     """Check the three granulation admissibility conditions.
 
     WRA is decided by a sound-but-incomplete term search: iterated joins of
-    granules, optionally extended with meets of pairs from that closure
+    granules, extended with meets of pairs from that closure
     (needed already to reach the empty set from two disjoint blocks).  LS and
     FU are checked exactly per their definitions; FU demands proper parthood
     below a definite element.
@@ -340,12 +338,9 @@ def check_admissible(
         return AdmissibleReport(missing, missing, missing)
 
     reach = _join_closure(sys, gidx)
-    if mixed_depth2:
-        idx = np.flatnonzero(reach)
-        vals = sys.meet[np.ix_(idx, idx)]
-        vals = vals[vals >= 0]
-        reach = reach.copy()
-        reach[np.unique(vals)] = True
+    idx = np.flatnonzero(reach)
+    vals = sys.meet[np.ix_(idx, idx)]
+    reach[vals[vals >= 0]] = True
     wra = _axiom_result(~(reach[lo] & reach[up]), sys)
     ls = _axiom_result(sys.granules[:, None] & p & ~p[:, lo], sys)
 

@@ -77,6 +77,11 @@ class DistanceFn:
         return self.eval(a, b)
 
 
+def _sqeuclidean_rows(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    diff = m - v
+    return np.sum(diff * diff, axis=1)
+
+
 def _euclidean_rows(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     diff = m - v
     return np.sqrt(np.sum(diff * diff, axis=1))
@@ -97,7 +102,7 @@ def squared_euclidean() -> DistanceFn:
         name="sqeuclidean",
         eval=lambda a, b: float(np.sum((a - b) * (a - b))),
         declared_kind=Kind.SEMIMETRIC,
-        rows=lambda m, v: np.sum((m - v) * (m - v), axis=1),
+        rows=_sqeuclidean_rows,
     )
 
 

@@ -12,12 +12,16 @@ from granule.ball_kmeans import (
     Dataset,
     Init,
     RunStats,
+    _annulus_labels,
+    _annulus_pass,
+    _center_pairs,
     _cluster_groups,
-    annular_regions,
+    _Counter,
+    _pair_tables,
+    _repair_empty,
     init_clusters,
     lloyd_run,
     prune_neighbor_check,
-    reassign,
     run,
 )
 from granule.metrics import Kind, chebyshev, euclidean, forward_gap, manhattan, squared_euclidean
@@ -60,6 +64,29 @@ def brute_force_assign(x, centers, assign):
     first = d.argmin(axis=1)
     cur = d[np.arange(x.shape[0]), assign]
     return np.where(cur == best, assign, first)
+
+
+def annulus_pass(x, centers, radii, assign, fn=None):
+    """``run``'s first-iteration pass against fixed centers: center pairs, then the annulus pass.
+
+    Returns (new assignments, the distance counter).
+    """
+    counter = _Counter(fn or euclidean())
+    d_own = counter.rows(x, centers[assign])
+    dmat, _, _ = _center_pairs(centers, radii, _pair_tables(len(centers)), None, None, counter)
+    new_assign, _, _ = _annulus_pass(x, centers, radii, assign, d_own, dmat, counter)
+    return new_assign, counter
+
+
+def annulus_labels(d, neighbor_dists, radius):
+    """(bounds, labels) of ``_annulus_labels`` for ascending neighbor center distances.
+
+    Every distance gets its own bound row, inf-padded by one column as in the
+    annulus pass.
+    """
+    bounds = np.asarray(neighbor_dists, dtype=float) / 2.0
+    rows = np.tile(np.append(bounds, np.inf), (len(d), 1))
+    return bounds, _annulus_labels(np.asarray(d, dtype=float), rows, bounds.size, radius)
 
 
 def both_runs(ds, cfg):
@@ -180,21 +207,19 @@ class TestGeometry:
         centers = np.array([[0.0, 0.0], [0.0, 1.0], [0.0, -1.2]])
         radii = np.array([1.0, 0.0, 0.0])
         log = []
-        new_assign, moved = reassign(
-            Dataset(x), centers, radii, assign, distance=counting(euclidean(), log)
-        )
-        assert moved == 0 and np.array_equal(new_assign, assign)
+        new_assign, _ = annulus_pass(x, centers, radii, assign, counting(euclidean(), log))
+        assert np.array_equal(new_assign, assign)
         # (0, +-0.5) sit on the stable radius and stay stable; (+-0.55, 0) lie in the first
         # annulus (0.5, 0.6] with one candidate, (+-1, 0) in the second with two
         assert [m for _, m in log] == [8, 3, 2 * 1 + 2 * 2]
 
     def test_annulus_boundaries(self):
-        bounds, labels = annular_regions(np.array([1.4]), np.array([2.0, 3.0, 4.0]), 2.0)
+        bounds, labels = annulus_labels(np.array([1.4]), np.array([2.0, 3.0, 4.0]), 2.0)
         assert bounds.tolist() == [1.0, 1.5, 2.0]
         assert labels.tolist() == [1]  # 1.0 < 1.4 <= 1.5
 
     def test_annulus_stable_point(self):
-        _, labels = annular_regions(np.array([1.0, 1.7, 1.5]), np.array([3.0]), 2.0)
+        _, labels = annulus_labels(np.array([1.0, 1.7, 1.5]), np.array([3.0]), 2.0)
         assert labels.tolist() == [0, 1, 0]  # boundary at 1.5 is inclusive
 
     @given(st.integers(0, 2**32 - 1))
@@ -205,7 +230,7 @@ class TestGeometry:
         nd = np.sort(rng.choice([0.5, 1.0, 2.0, 3.0], size=int(rng.integers(1, 5))))
         d = rng.choice([0.0, 0.25, 0.5, 1.0, 1.5, 2.0], size=20)
         radius = float(rng.choice([0.5, 1.0, 1.5, 2.0]))
-        bounds, labels = annular_regions(d, nd, radius)
+        bounds, labels = annulus_labels(d, nd, radius)
         ref = np.zeros(d.size, dtype=int)
         for m in range(1, nd.size + 1):
             hi = bounds[m] if m < nd.size else radius
@@ -219,7 +244,7 @@ class TestGeometry:
         radius = float(rng.uniform(1, 5))
         dists = rng.uniform(0, radius, 20)
         ndists = np.sort(rng.uniform(0.1, 2 * radius, int(rng.integers(1, 5))))
-        bounds, labels = annular_regions(dists, ndists, radius)
+        bounds, labels = annulus_labels(dists, ndists, radius)
         for d, lab in zip(dists, labels):
             if lab == 0:
                 assert d <= bounds[0]
@@ -235,24 +260,22 @@ class TestGeometry:
         assert not prune_neighbor_check(10.0, 2.0, 4.0, 3.0)
 
 
-class TestReassign:
+class TestAnnulusPass:
     def test_all_stable_means_zero_moves(self):
         x = np.array([[0.0], [0.2], [10.0], [10.3]])
-        ds = Dataset(x)
         centers = np.array([[0.1], [10.15]])
         radii = np.array([0.1, 0.15])
         assign = np.array([0, 0, 1, 1])
-        new_assign, moved = reassign(ds, centers, radii, assign)
-        assert moved == 0 and np.array_equal(new_assign, assign)
+        new_assign, counter = annulus_pass(x, centers, radii, assign)
+        assert np.array_equal(new_assign, assign)
+        assert counter.count == 4 + 1  # own distances and the one center pair, no candidates
 
     def test_annulus_point_moves_to_closer_neighbor(self):
         x = np.array([[0.0], [1.9], [3.0]])
-        ds = Dataset(x)
         centers = np.array([[0.0], [3.0]])
         radii = np.array([1.9, 0.0])
         assign = np.array([0, 0, 1])
-        new_assign, moved = reassign(ds, centers, radii, assign)
-        assert moved == 1
+        new_assign, _ = annulus_pass(x, centers, radii, assign)
         assert new_assign.tolist() == [0, 1, 1]
 
     @given(st.integers(0, 2**32 - 1))
@@ -263,25 +286,26 @@ class TestReassign:
         x = rng.normal(0, 5, (n, 2))
         assign = rng.integers(0, k, n)
         assign[:k] = np.arange(k)  # keep clusters non-empty
-        ds = Dataset(x)
         centers = np.stack([x[assign == i].mean(axis=0) for i in range(k)])
         radii = np.array(
             [np.sqrt(((x[assign == i] - centers[i]) ** 2).sum(axis=1)).max() for i in range(k)]
         )
-        new_assign, _ = reassign(ds, centers, radii, assign, repair_empty=False)
+        new_assign, _ = annulus_pass(x, centers, radii, assign)
         assert np.array_equal(new_assign, brute_force_assign(x, centers, assign))
 
     def test_repair_refills_emptied_cluster(self):
         x = np.array([[0.0], [0.1], [0.2], [5.0]])
-        ds = Dataset(x)
         # cluster 1 holds a single point that strictly prefers center 0
         centers = np.array([[0.1], [0.4]])
         radii = np.array([0.1, 0.2])
         assign = np.array([0, 0, 1, 0])
-        repaired, moved_r = reassign(ds, centers, radii, assign)
-        assert sorted(np.bincount(repaired, minlength=2).tolist()) != [0, 4]
-        bare, _ = reassign(ds, centers, radii, assign, repair_empty=False)
+        bare, _ = annulus_pass(x, centers, radii, assign)
         assert np.bincount(bare, minlength=2)[1] == 0
+        repaired, stats = bare.copy(), RunStats()
+        donor = lambda mem, c: euclidean().rows(x[mem], centers[c])
+        moved = _repair_empty(repaired, 2, donor, stats)
+        assert moved.tolist() == [1] and stats.empty_cluster_repairs == 1
+        assert repaired.tolist() == [0, 0, 0, 1]  # the farthest point of the donor refills it
 
 
 class TestRun:
@@ -356,6 +380,19 @@ class TestRun:
         # a random partition of six blobs never happens to be Lloyd-stable
         assert not clustering.converged
 
+    @pytest.mark.xfail(strict=True, reason="the ball bounds skip Lloyd's comparison at rounding ties")
+    def test_exact_at_a_manhattan_rounding_tie(self):
+        # point 9 is exactly 7/3 from two centers; Lloyd's rounding makes one distance 1 ulp
+        # smaller, while run calls the point stable and never compares the two
+        x = np.array([[0, 2, 1], [3, 2, 3], [0, 0, 0], [1, 2, 1], [3, 3, 3], [3, 1, 2], [2, 1, 0],
+                      [1, 2, 0], [0, 2, 1], [1, 2, 2], [2, 3, 0], [2, 0, 0], [2, 3, 2], [1, 0, 2],
+                      [2, 2, 1], [0, 2, 1], [3, 3, 0], [1, 1, 2], [2, 1, 0], [3, 0, 1], [2, 0, 1],
+                      [1, 0, 0], [2, 0, 3], [2, 0, 1], [2, 2, 3], [3, 2, 3]], dtype=float)
+        cfg = BkmConfig(k=3, seed=612, init=Init.RANDOM_PARTITION, distance=manhattan())
+        fast, _ = run(Dataset(x), cfg, record_history=True)
+        naive, _ = lloyd_run(Dataset(x), cfg, record_history=True)
+        assert same_history(fast, naive)
+
     def test_duplicate_points_with_ties_stay_exact(self):
         x = np.array([[0.0, 0.0]] * 6 + [[1.0, 0.0]] * 6 + [[0.5, 0.0]] * 3)
         for seed in range(6):
@@ -415,8 +452,6 @@ class TestDistances:
         cfg = BkmConfig(k=2, seed=0, distance=factory())
         with pytest.raises(ConfigError):
             run(ds, cfg)
-        with pytest.raises(ConfigError):
-            reassign(ds, ds.points[:2], np.ones(2), np.arange(30) % 2, distance=factory())
         naive, _ = lloyd_run(ds, cfg)  # the full scan needs no bounds
         assert naive.assignments.shape == (30,)
 

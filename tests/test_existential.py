@@ -16,6 +16,7 @@ from granule.existential import (
     MashReport,
     StructureError,
     UNDEFINED,
+    _join_closure,
     ball_refinement_operator,
     build_set_hgos,
     check_admissible,
@@ -352,10 +353,9 @@ class TestAdmissible:
 
     def test_wra_needs_meets_for_empty_set(self):
         sys_ = build_set_hgos([1, 2], [[1], [2]])
-        with_meets = check_admissible(sys_, mixed_depth2=True)
-        joins_only = check_admissible(sys_, mixed_depth2=False)
-        assert with_meets.wra.passed
-        assert not joins_only.wra.passed  # the empty set is a meet of two blocks
+        joins = _join_closure(sys_, sys_.granule_indices())
+        assert not joins[sys_.index(frozenset())]  # the empty set is a meet of two blocks
+        assert check_admissible(sys_).wra.passed
 
 
 def pairwise_fu(sys_, gidx):
