@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .metrics import DistanceFn, Kind, _sqeuclidean_rows, euclidean, row_distances
+from .metrics import DistanceFn, Kind, _pairwise, _sqeuclidean_rows, euclidean, row_distances
 
 __all__ = [
     "Dataset",
@@ -118,11 +118,11 @@ class Clustering:
 
 
 class _Counter:
-    """Distance engine: one code path for every sigma evaluation, with counting.
+    """Distance engine of ``run``'s pass: every sigma evaluation there, with counting.
 
-    All point-to-center and center-pair distances flow through ``rows``
-    with points as matrix rows, so the accelerated and naive algorithms see
-    bit-identical values.
+    Its point-to-center and center-pair distances flow through ``rows`` with
+    points as matrix rows, as in ``lloyd_run``'s ``_pairwise`` scan, so both
+    algorithms see bit-identical values.
     """
 
     def __init__(self, fn: DistanceFn):
@@ -169,8 +169,8 @@ def prune_neighbor_check(
 
 def init_clusters(ds: Dataset, cfg: BkmConfig) -> list[np.ndarray]:
     """Seeded initial memberships: k non-empty disjoint index sets covering all points."""
-    assign = _init_assignments(ds.points, cfg.k, cfg.seed, cfg.init)
-    return [np.flatnonzero(assign == i) for i in range(cfg.k)]
+    order, bounds = _groups(_init_assignments(ds.points, cfg.k, cfg.seed, cfg.init), cfg.k)
+    return [order[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def _init_assignments(x: np.ndarray, k: int, seed: int, init: Init) -> np.ndarray:
@@ -375,7 +375,6 @@ def _cluster_groups(
     _require_metric(fn)
     k = cfg.k
     counter = _Counter(fn)
-    uncounted = lambda m, v: row_distances(fn, m, v)
     spans = list(zip(bounds, bounds[1:], seeds))
     assign = np.concatenate([_init_assignments(x[a:b], k, s, cfg.init) + g * k for g, (a, b, s) in enumerate(spans)])
     if history is not None:
@@ -401,7 +400,7 @@ def _cluster_groups(
         stats.neighbor_free_stable_clusters += int(np.count_nonzero(~near.any(axis=1)))
 
         if instrument:
-            dfull = _full_scan(uncounted, x, centers)
+            dfull = _pairwise(fn, x, centers)
             dfull[assign[:, None] // k != np.arange(len(centers)) // k] = np.inf  # other groups' centers
             best_full = dfull.min(axis=1)
             st = np.flatnonzero(stable)
@@ -409,7 +408,7 @@ def _cluster_groups(
             mv = np.flatnonzero(new_assign != assign)
             stats.move_target_violations += int((~near[assign[mv], new_assign[mv] % k]).sum())
             g = np.arange(len(live))
-            dc = _full_scan(uncounted, centers, centers).reshape(len(live), k, len(live), k)[g, :, g]
+            dc = _pairwise(fn, centers, centers).reshape(len(live), k, len(live), k)[g, :, g]
             stats.pruning_violations += int(np.count_nonzero(fired & (dc < 2.0 * radii.reshape(-1, k, 1))))
 
         moved = np.bincount(new_assign[new_assign != assign] // k, minlength=len(live))
@@ -465,7 +464,7 @@ def run(
         centers=centers,
         radii=radii,
         converged=bool(converged[0]),
-        ties=_ties(_full_scan(lambda m, v: row_distances(cfg.distance, m, v), ds.points, centers)),
+        ties=_ties(_pairwise(cfg.distance, ds.points, centers)),
         history=history,
     )
     return result, stats
@@ -475,18 +474,15 @@ def lloyd_run(
     ds: Dataset, cfg: BkmConfig, *, record_history: bool = False
 ) -> tuple[Clustering, RunStats]:
     """Textbook full-scan iteration with the same init, movement rule and repair."""
-    x = ds.points
-    n = ds.n
-    k = cfg.k
-    fn = cfg.distance
-    counter = _Counter(fn)
+    x, n, k = ds.points, ds.n, cfg.k
     assign = _init_assignments(x, k, cfg.seed, cfg.init)
     stats = RunStats()
-    history = [assign.copy()]
+    history = [assign.copy()] if record_history else None
     converged = False
     for iteration in range(1, cfg.max_iter + 1):
         centers, _, _ = _centers_of(x, assign, k)
-        dfull = _full_scan(counter.rows, x, centers)
+        dfull = _pairwise(cfg.distance, x, centers)
+        stats.distance_computations += n * k
         cur = dfull[np.arange(n), assign]
         best = dfull.min(axis=1)
         first = dfull.argmin(axis=1)
@@ -496,12 +492,12 @@ def lloyd_run(
         stats.points_moved_per_iter.append(int(moved))
         stats.iterations = iteration
         assign = new_assign
-        history.append(assign.copy())
+        if history is not None:
+            history.append(assign.copy())
         if moved == 0:
             converged = True
             break
 
-    stats.distance_computations = counter.count
     order, bounds = _groups(assign, k)
     radii = np.maximum.reduceat(dfull[order, assign[order]], bounds[:-1])
     result = Clustering(
@@ -510,14 +506,9 @@ def lloyd_run(
         radii=radii,
         converged=converged,
         ties=_ties(dfull),  # dfull is against the returned centers
-        history=history if record_history else None,
+        history=history,
     )
     return result, stats
-
-
-def _full_scan(rows, x: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """(n, k) distances of every row of x to every center, one ``rows`` call per center."""
-    return np.stack([rows(x, c) for c in centers], axis=1)
 
 
 def _ties(dfull: np.ndarray) -> list:

@@ -20,8 +20,8 @@ from typing import Optional
 
 import numpy as np
 
-from .ball_kmeans import BkmConfig, Dataset, Init, RunStats, _cluster_groups
-from .metrics import DistanceFn, _blocks, euclidean, row_distances
+from .ball_kmeans import BkmConfig, Dataset, Init, RunStats, _cluster_groups, _groups
+from .metrics import DistanceFn, _blocks, _pairwise, euclidean, row_distances
 
 __all__ = [
     "LabeledDataset",
@@ -249,9 +249,8 @@ def _split_frontier(ds: LabeledDataset, balls: Sequence[GranularBall], k: int, s
     cfg = BkmConfig(k=k, init=Init.PLUS_PLUS)
     seeds = [_child_seed(seed, depth, b.members[0]) for b in balls]
     assign, _, _, _ = _cluster_groups(ds.points.points[idx], bounds, seeds, cfg, RunStats())
-    order = np.argsort(assign, kind="stable")  # by child, members ascending within each
-    cuts = np.cumsum(np.bincount(assign, minlength=len(balls) * k)).tolist()
-    children = [_ball(ds, idx[order[a:b]], cfg.distance) for a, b in zip([0] + cuts, cuts)]
+    order, cuts = _groups(assign, len(balls) * k)  # by child, members ascending within each
+    children = [_ball(ds, idx[order[a:b]], cfg.distance) for a, b in zip(cuts, cuts[1:])]
     return [sorted(children[g * k : g * k + k], key=lambda c: c.members[0]) for g in range(len(balls))]
 
 
@@ -270,7 +269,7 @@ def _offending(fn: DistanceFn, packed: tuple, rows, cols) -> np.ndarray:
     """Heterogeneous overlaps between balls ``rows`` and ``cols`` of ``_arrays`` output, as a mask:
     both labeled, labels differ, and fn(column center, row center) < the radius sum."""
     centers, radii, labels, labeled, _ = packed
-    dist = np.array([row_distances(fn, centers[cols], centers[r]) for r in rows])
+    dist = _pairwise(fn, centers[cols], centers[rows]).T
     return labeled[rows, None] & labeled[cols] & (labels[rows, None] != labels[cols]) & (dist < radii[rows, None] + radii[cols])
 
 
@@ -419,10 +418,8 @@ def classify(balls: Sequence[GranularBall], x, distance: DistanceFn = None) -> i
         raise ValueError("points must have finite coordinates")
     fn = distance if distance is not None else euclidean()
     win = np.empty(len(pts), dtype=np.intp)
-    for rows in _blocks(len(pts), centers.size):
-        chunk = pts[rows]  # row p * B + i pairs point p of the chunk with center i
-        dist = row_distances(fn, chunk.repeat(len(centers), axis=0), np.tile(centers, (len(chunk), 1)))
-        score = dist.reshape(len(chunk), -1) - radii
+    for rows in _blocks(len(pts), 8 * centers.size):  # the chunks of _pairwise: one kernel call each
+        score = _pairwise(fn, pts[rows], centers) - radii
         # the least labeled score, NaN ranking last; a point whose labeled scores are all NaN ties them all
         best = labeled & (score == np.fmin.reduce(score, axis=1, keepdims=True, where=labeled, initial=np.inf))
         best |= labeled & ~best.any(axis=1, keepdims=True)

@@ -192,8 +192,22 @@ _CHUNK_ENTRIES = 1 << 18
 
 def _blocks(n: int, per_row: int) -> list[slice]:
     """Consecutive slices of a first axis of n rows, about ``_CHUNK_ENTRIES`` cases each."""
-    rows = max(1, _CHUNK_ENTRIES // per_row)
+    rows = max(1, _CHUNK_ENTRIES // max(per_row, 1))
     return [slice(r, r + rows) for r in range(0, n, rows)]
+
+
+def _pairwise(fn: DistanceFn, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The (len(a), len(b)) matrix of fn(a_i, b_j), the one all-pairs builder: one row-kernel call per chunk
+    of a's rows, row p len(b) + j pairing its point p with b_j.  A chunk's operands and temporaries (up to
+    eight arrays of the repeated rows' size) together hold about ``_CHUNK_ENTRIES`` coordinates, in cache."""
+    pairs = lambda c: row_distances(fn, c.repeat(len(b), axis=0), np.tile(b, (len(c), 1))).reshape(len(c), -1)
+    blocks = _blocks(len(a), 8 * b.size)
+    if len(blocks) == 1:
+        return pairs(a)  # the kernel's own array, uncopied
+    out = np.empty((len(a), len(b)))
+    for rows in blocks:
+        out[rows] = pairs(a[rows])
+    return out
 
 
 def _first_true(grid) -> tuple[Optional[tuple], int]:
@@ -219,17 +233,14 @@ def _require_tol(tol: float) -> None:
 
 
 def _checked_matrix(fn: DistanceFn, h: Sequence, f: Sequence) -> np.ndarray:
-    """The (|h|, |f|) matrix of fn(h_i, f_j), one row-kernel call per column.  Refuses points of
-    different dimension, then the first negative or non-finite value in row-major order."""
+    """The (|h|, |f|) matrix of fn(h_i, f_j) from ``_pairwise``.  Refuses points of different
+    dimension, then the first negative or non-finite value in row-major order."""
     hp = [_as_point(p) for p in h]
     fp = [_as_point(p) for p in f]
     odd = next((p for p in hp + fp if p.shape != hp[0].shape), None)
     if odd is not None:
         raise ValueError(f"points of different dimension: shapes {hp[0].shape} and {odd.shape}")
-    hm = np.array(hp)
-    dmat = np.empty((len(hp), len(fp)))
-    for j, b in enumerate(fp):
-        dmat[:, j] = row_distances(fn, hm, b)
+    dmat = _pairwise(fn, np.array(hp), np.array(fp))
     bad, _ = _first_true(~np.isfinite(dmat) | (dmat < 0.0))
     if bad is not None:
         i, j = bad

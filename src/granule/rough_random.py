@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .ball_kmeans import BkmConfig, Dataset, run
+from .ball_kmeans import BkmConfig, Dataset, _groups, run
 from .existential import BudgetError, _unions
 from .metrics import _first_true
 
@@ -173,9 +173,9 @@ def check_approx_axioms(
     if len(uni) <= exhaustive_limit:
         return SpaceAxiomReport(results=_exhaustive_axioms(space, exhaustive_limit), sampled=False)
     rng = np.random.default_rng(seed)
-    objs = np.asarray(uni, dtype=object)
-    pool = [frozenset(objs[rng.integers(0, 2, size=len(uni)).astype(bool)]) for _ in range(samples)]
-    pairs = [(x & frozenset(objs[rng.integers(0, 2, size=len(uni)).astype(bool)]), x) for x in pool]
+    draw = lambda: frozenset(u for u, keep in zip(uni, rng.integers(0, 2, size=len(uni))) if keep)  # u may be a tuple
+    pool = [draw() for _ in range(samples)]
+    pairs = [(x & draw(), x) for x in pool]
     lo = lambda x: space.approx(x)[0]
     up = lambda x: space.approx(x)[1]
 
@@ -415,7 +415,8 @@ class Crrf3TraceEntry:
 
 
 def _partition_blocks(assign: np.ndarray, k: int) -> tuple:
-    return tuple(frozenset(int(i) for i in np.flatnonzero(assign == c)) for c in range(k))
+    order, bounds = _groups(assign, k)
+    return tuple(frozenset(order[a:b].tolist()) for a, b in zip(bounds, bounds[1:]))
 
 
 def bkm_crrf3_trace(ds: Dataset, cfg: BkmConfig) -> list[Crrf3TraceEntry]:

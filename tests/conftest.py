@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -9,6 +11,15 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
+
+
+def counting(base, log):
+    """``base`` with each eval call logged as ("eval", 1) and each rows call as ("rows", m)."""
+    return dataclasses.replace(
+        base,
+        eval=lambda a, b: log.append(("eval", 1)) or base.eval(a, b),
+        rows=lambda m, v: log.append(("rows", m.shape[0])) or base.rows(m, v),
+    )
 
 
 def make_blobs(n, d, k, seed, spread=10.0, std=1.0):

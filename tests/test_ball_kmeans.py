@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 
 import numpy as np
@@ -24,23 +25,14 @@ from granule.ball_kmeans import (
     prune_neighbor_check,
     run,
 )
-from granule.metrics import Kind, chebyshev, euclidean, forward_gap, manhattan, squared_euclidean
+from granule.metrics import _CHUNK_ENTRIES, Kind, chebyshev, euclidean, forward_gap, manhattan, squared_euclidean
 
-from conftest import make_blobs
+from conftest import counting, make_blobs
 
 
 def same_history(a, b):
     return len(a.history) == len(b.history) and all(
         np.array_equal(p, q) for p, q in zip(a.history, b.history)
-    )
-
-
-def counting(base, log):
-    """``base`` with each eval call logged as ("eval", 1) and each rows call as ("rows", m)."""
-    return dataclasses.replace(
-        base,
-        eval=lambda a, b: log.append(("eval", 1)) or base.eval(a, b),
-        rows=lambda m, v: log.append(("rows", m.shape[0])) or base.rows(m, v),
     )
 
 
@@ -484,7 +476,7 @@ class TestDistances:
             kinds = [kind for kind, _ in log]
             assert "eval" not in kinds
             # one call per phase (own, shift, pairs, up to three annulus chunks) and per
-            # repair, plus the final tie scan with one call per center
+            # repair, plus the final tie scan with one call per chunk of points
             assert kinds.count("rows") <= 6 * stats.iterations + stats.empty_cluster_repairs + 60
 
     def test_annulus_gathers_stay_within_n_rows(self):
@@ -493,7 +485,10 @@ class TestDistances:
         ds = Dataset(make_blobs(1000, 2, 20, seed=1))
         cfg = BkmConfig(k=20, seed=3, init=Init.RANDOM_PARTITION, distance=counting(euclidean(), log))
         run(ds, cfg)
-        assert max(rows for _, rows in log) <= 1000
+        # the final tie scan's calls close the log, n k pairs in all
+        scan = list(itertools.accumulate(rows for _, rows in reversed(log))).index(ds.n * cfg.k) + 1
+        assert max(rows for _, rows in log[:-scan]) <= 1000
+        assert all(rows * ds.d <= _CHUNK_ENTRIES for _, rows in log[-scan:])
 
     @pytest.mark.parametrize("factory", [euclidean, manhattan])
     def test_eval_fallback_matches_row_kernel(self, factory):

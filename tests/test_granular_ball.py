@@ -471,7 +471,8 @@ class TestClassify:
             sizes.append(len(m))
             return real.rows(m, v)
 
-        monkeypatch.setattr(metrics, "_CHUNK_ENTRIES", 8 * balls.centers.size)
+        # a chunk of 8 points: the pairwise kernel budgets eight arrays of its operands' size per chunk
+        monkeypatch.setattr(metrics, "_CHUNK_ENTRIES", 64 * balls.centers.size)
         got = classify(balls, x[300:], dataclasses.replace(real, rows=recorded_rows))
         assert sizes == [8 * len(balls)] * 25
         assert got.tolist() == [per_ball_minimum(balls, p, real) for p in x[300:]]
@@ -488,6 +489,12 @@ class TestClassify:
         balls = [ball_of([c], r, (i,), lab) for i, (c, r, lab) in enumerate(spec)]
         assert classify(balls, [0.0]) == want
         assert classify(balls, [[0.0], [0.0]]).tolist() == [want] * 2
+
+    def test_zero_dimensional_points(self):
+        # no coordinates: every distance is 0, so the larger radius gives the least score
+        balls = [ball_of(np.empty(0), 1.0, (0,), 3), ball_of(np.empty(0), 2.0, (1,), 4)]
+        assert classify(balls, np.empty(0)) == 4
+        assert classify(balls, np.empty((2, 0))).tolist() == [4, 4]
 
     def test_batch_of_no_points_is_empty(self):
         balls = [ball_of([0.0, 0.0], 1.0, (0,), 3)]

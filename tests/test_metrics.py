@@ -29,6 +29,8 @@ from granule.metrics import (
     squared_euclidean,
 )
 
+from conftest import counting
+
 points_1d = st.lists(
     st.floats(-50, 50, allow_nan=False, allow_infinity=False), min_size=1, max_size=8
 )
@@ -226,6 +228,47 @@ class TestRowKernels:
                 assert fn.rows(a, b).tobytes() == ref.tobytes()
                 assert row_distances(bare, a, b).tobytes() == ref.tobytes()
                 assert row_distances(bare, a, b[0]).tobytes() == fn.rows(a, b[0]).tobytes()
+
+
+class TestPairwise:
+    @pytest.mark.parametrize("name", sorted(NAMED_DISTANCES))
+    @pytest.mark.parametrize("chunk", [metrics._CHUNK_ENTRIES, 50])
+    def test_matches_per_pair_eval_bit_for_bit(self, name, chunk, monkeypatch):
+        # a chunk of 50 coordinates spreads every shape over several row chunks
+        monkeypatch.setattr(metrics, "_CHUNK_ENTRIES", chunk)
+        fn = NAMED_DISTANCES[name]()
+        bare = dataclasses.replace(fn, rows=None)  # eval only
+        rng = np.random.default_rng(7)
+        for d in (1, 2, 8, 33):
+            for scale in (1e-8, 1.0, 1e8):
+                a = rng.normal(0, scale, (23, d))
+                b = np.concatenate([a[:3], rng.normal(0, scale, (6, d))])  # some zero distances
+                ref = np.array([[fn.eval(p, q) for q in b] for p in a])
+                assert metrics._pairwise(fn, a, b).tobytes() == ref.tobytes(), (d, scale)
+                assert metrics._pairwise(bare, a, b).tobytes() == ref.tobytes(), (d, scale)
+            grid = rng.integers(-3, 4, (17, d)).astype(float)
+            ref = np.array([[fn.eval(p, q) for q in grid[:5]] for p in grid])
+            assert metrics._pairwise(fn, grid, grid[:5]).tobytes() == ref.tobytes()
+
+    def test_calls_follow_the_chunk_rule(self):
+        log = []
+        fn = counting(forward_gap(), log)
+        a, b = np.random.default_rng(1).normal(size=(3000, 4)), np.ones((100, 4))
+        dmat = metrics._pairwise(fn, a, b)
+        rows = [m for _, m in log]
+        assert len(rows) > 1 and all(m % 100 == 0 for m in rows)  # whole rows of a per call
+        assert sum(rows) == 3000 * 100 and max(rows) * 4 <= metrics._CHUNK_ENTRIES
+        assert dmat.shape == (3000, 100) and dmat[5, 0] == fn.eval(a[5], b[0])
+
+    def test_set_distances_make_one_kernel_call(self):
+        rng = np.random.default_rng(2)
+        log = []
+        fn = counting(euclidean(), log)
+        point_set_distance(fn, [0.0, 0.0], rng.normal(size=(500, 2)))
+        assert log == [("rows", 500)]
+        log.clear()
+        classify_distance(fn, list(rng.normal(size=150)))
+        assert log == [("rows", 150 * 150)]
 
 
 # -- loop oracle ---------------------------------------------------------------

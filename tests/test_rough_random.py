@@ -146,6 +146,14 @@ class TestAxioms:
         rep = check_approx_axioms(identity_space(range(16)), exhaustive_limit=8)
         assert rep.sampled and rep.ok
 
+    @pytest.mark.parametrize("size", [5, 13])
+    def test_universe_of_tuples(self, size):
+        # lattice points: a sampled run must not turn the members into an array axis
+        uni = tuple((i, i + 1) for i in range(size))
+        for space in (ApproxSpace(uni, lambda x: x, lambda x: x), pawlak_space(uni, [uni[:2], uni[2:]])):
+            rep = check_approx_axioms(space)
+            assert rep.ok and rep.sampled == (size > 12)
+
     @settings(max_examples=20)
     @given(st.integers(0, 10**6))
     def test_every_partition_space_passes(self, seed):
