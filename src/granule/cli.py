@@ -32,6 +32,7 @@ from .ball_algebra import (
 from .ball_kmeans import BkmConfig, Init, lloyd_run, run
 from .existential import (
     AxiomSuite,
+    BudgetError,
     StructureError,
     _render_element,
     build_set_hgos,
@@ -659,6 +660,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_INGEST
     except ValueError as exc:
         sys.stderr.write(f"config error: {exc}\n")
+        return EXIT_USAGE
+    except BudgetError as exc:
+        sys.stderr.write(f"budget error: {exc}\n")
         return EXIT_USAGE
 
 

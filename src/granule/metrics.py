@@ -265,7 +265,7 @@ def classify_distance(
     pts = [_as_point(p) for p in sample]
     dmat = _checked_matrix(fn, pts, pts)
     same = np.all(np.array(pts)[:, None, :] == np.array(pts)[None, :, :], axis=2)
-    blocks = _blocks(len(pts), len(pts) ** 2)
+    blocks = _blocks(len(pts), 8 * len(pts) ** 2)  # a block's (rows, s, s) temporaries stay in cache
     counterexamples: dict = {}
 
     def _pt(i):

@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .ball_kmeans import BkmConfig, Dataset, _groups, run
-from .existential import BudgetError, _unions
+from .existential import BudgetError, _block_images, _unions
 from .metrics import _first_true
 
 __all__ = [
@@ -47,33 +47,31 @@ EXHAUSTIVE_LIMIT = 12
 
 @dataclass
 class ApproxSpace:
-    """Finite universe with lower and upper approximation maps on subsets."""
+    """Finite universe with lower and upper approximation maps on subsets.
+
+    A :func:`pawlak_space` also keeps its (k, n) block table, which the checks read in place of the maps.
+    """
 
     universe: tuple
     lower: Callable[[frozenset], frozenset]
     upper: Callable[[frozenset], frozenset]
     blocks: Optional[tuple] = None  # set when induced by a partition
+    _table: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.universe = tuple(self.universe)
-        self._memo: dict = {}
-        self._pos = {el: i for i, el in enumerate(self.universe)}
 
     def approx(self, x: frozenset) -> tuple[frozenset, frozenset]:
         x = frozenset(x)
-        hit = self._memo.get(x)
-        if hit is None:
-            hit = (frozenset(self.lower(x)), frozenset(self.upper(x)))
-            self._memo[x] = hit
-        return hit
+        return frozenset(self.lower(x)), frozenset(self.upper(x))
 
-    def subset_order(self, x: frozenset) -> tuple:
-        """Canonical sort key: bitmask over the universe order."""
-        return (sum(1 << self._pos[el] for el in x),)
+
+def _subset(universe: tuple, row) -> frozenset:
+    return frozenset(el for el, keep in zip(universe, row) if keep)  # an element may be a tuple
 
 
 def pawlak_space(universe: Sequence, blocks: Sequence[Sequence]) -> ApproxSpace:
-    """Partition-induced space: lower/upper are unions of blocks inside/meeting x."""
+    """Partition-induced space: lower/upper are unions of blocks inside/meeting x, from a (k, n) block table."""
     uni = tuple(universe)
     bl = tuple(frozenset(b) for b in blocks)
     seen: set = set()
@@ -86,38 +84,49 @@ def pawlak_space(universe: Sequence, blocks: Sequence[Sequence]) -> ApproxSpace:
     if seen != set(uni):
         raise ValueError("partition must cover the universe")
 
-    def lower(x: frozenset) -> frozenset:
-        return frozenset().union(*(b for b in bl if b <= x)) if any(b <= x for b in bl) else frozenset()
+    table = np.array([[el in b for el in uni] for b in bl], dtype=bool).reshape(len(bl), len(uni))
+    images = lambda x: _block_images(table, np.array([[el in x for el in uni]], dtype=bool))[:, 0]
+    space = ApproxSpace(uni, lambda x: _subset(uni, images(x)[0]), lambda x: _subset(uni, images(x)[1]), bl)
+    space._table = table
+    return space
 
-    def upper(x: frozenset) -> frozenset:
-        return frozenset().union(*(b for b in bl if b & x)) if any(b & x for b in bl) else frozenset()
 
-    return ApproxSpace(universe=uni, lower=lower, upper=upper, blocks=bl)
+def _images(space: ApproxSpace, rows: np.ndarray) -> np.ndarray:
+    """Lower and upper images of a stack of 0/1 rows over the universe positions, stacked as (2, m, n).
+
+    A space without a block table is asked through ``approx`` once per row.  A repeated universe element,
+    or an image with an element outside the universe, is refused.
+    """
+    uni = space.universe
+    pos = {el: i for i, el in enumerate(uni)}
+    if len(pos) != len(uni):
+        raise ValueError("universe has repeated elements")
+    if space._table is not None:
+        return _block_images(space._table, rows)
+    out = np.zeros((2, *rows.shape), dtype=bool)
+    for r, row in enumerate(rows):
+        x = _subset(uni, row)
+        for name, images, image in zip(("lower", "upper"), out, space.approx(x)):
+            outside = image.difference(pos)
+            if outside:
+                raise ValueError(f"{name} of {set(x)} returns {set(outside)} outside the universe")
+            images[r, [pos[el] for el in image]] = True
+    return out
 
 
 def _mask_table(space: ApproxSpace, limit: int) -> tuple[list, np.ndarray, np.ndarray]:
-    """Every subset with its approximation masks, one ``approx`` call per subset.
+    """Every subset with its approximation masks.
 
-    Bit i of a mask stands for ``universe[i]``; ``subsets[m]`` is the subset
-    with mask m, and ``lo[m]``, ``up[m]`` are the masks of its lower and upper
-    approximations.  A map that leaves the universe is refused.
+    The mask of a subset is its 0/1 row packed, bit i standing for
+    ``universe[i]``; ``subsets[m]`` is the subset with mask m, and ``lo[m]``,
+    ``up[m]`` are the masks of its lower and upper approximations.
     """
     uni = space.universe
     if len(uni) > limit:
         raise BudgetError(f"universe of size {len(uni)} exceeds the exhaustion limit {limit}")
-    if len(set(uni)) != len(uni):
-        raise ValueError("universe has repeated elements")
-    subsets = _unions([{el} for el in uni])
-    index = {x: m for m, x in enumerate(subsets)}
-    table = np.empty((2, len(subsets)), dtype=np.int64)
-    for m, x in enumerate(subsets):
-        for row, name, image in zip(table, ("lower", "upper"), space.approx(x)):
-            if image not in index:
-                raise ValueError(
-                    f"{name} of {set(x)} returns {set(image - subsets[-1])} outside the universe"
-                )
-            row[m] = index[image]
-    return subsets, table[0], table[1]
+    bits = 1 << np.arange(len(uni), dtype=np.int64)
+    lo, up = _images(space, (np.arange(1 << len(uni))[:, None] & bits) != 0) @ bits
+    return _unions([{el} for el in uni]), lo, up
 
 
 def _nested_pairs(universe: Sequence) -> tuple[np.ndarray, np.ndarray]:
@@ -165,31 +174,31 @@ def check_approx_axioms(
     """Verify the six minimal approximation axioms.
 
     Exhaustive over the powerset (and all nested pairs for monotonicity) up
-    to ``exhaustive_limit`` universe elements, where a map image outside the
-    universe raises ValueError; beyond that a seeded sample of subsets and
-    nested pairs is used and the report is flagged as sampled.
+    to ``exhaustive_limit`` universe elements; beyond that a seeded sample of
+    subset rows x and nested pairs (x & y, x) is used and the report is
+    flagged as sampled.  Either way a map image outside the universe, or a
+    repeated universe element, raises ValueError.
     """
     uni = space.universe
     if len(uni) <= exhaustive_limit:
         return SpaceAxiomReport(results=_exhaustive_axioms(space, exhaustive_limit), sampled=False)
-    rng = np.random.default_rng(seed)
-    draw = lambda: frozenset(u for u, keep in zip(uni, rng.integers(0, 2, size=len(uni))) if keep)  # u may be a tuple
-    pool = [draw() for _ in range(samples)]
-    pairs = [(x & draw(), x) for x in pool]
-    lo = lambda x: space.approx(x)[0]
-    up = lambda x: space.approx(x)[1]
+    x, y = np.random.default_rng(seed).integers(0, 2, size=(2, samples, len(uni))) != 0
+    a = x & y
+    ends = np.repeat([[False], [True]], len(uni), axis=1)  # the empty set and the universe
+    lo, up = _images(space, np.concatenate((x, a, ends)))
+    lo_x, up_x, lo_a, up_a = lo[:samples], up[:samples], lo[samples:-2], up[samples:-2]
 
-    def first(bad: Callable, cases: list) -> tuple:
-        return next(((False, case) for case in cases if bad(*case)), (True, None))
+    def first(violated: np.ndarray, *rows: np.ndarray) -> tuple:
+        idx, _ = _first_true(violated.any(axis=1)) if len(violated) else (None, 0)
+        return (True, None) if idx is None else (False, tuple(_subset(uni, r[idx[0]]) for r in rows))
 
-    singles = [(x,) for x in pool]
     results = {
-        "int-cl": first(lambda x: not lo(x) <= up(x), singles),
-        "l-id": first(lambda x: not lo(lo(x)) <= lo(x), singles),
-        "l-mo": first(lambda a, b: not lo(a) <= lo(b), pairs),
-        "u-mo": first(lambda a, b: not up(a) <= up(b), pairs),
-        "l-bot": first(lambda x: lo(x) != x, [(frozenset(),)]),
-        "u-top": first(lambda x: up(x) != x, [(frozenset(uni),)]),
+        "int-cl": first(lo_x & ~up_x, x),
+        "l-id": first(_images(space, lo_x)[0] & ~lo_x, x),
+        "l-mo": first(lo_a & ~lo_x, a, x),
+        "u-mo": first(up_a & ~up_x, a, x),
+        "l-bot": first(lo[-2:-1], ends[:1]),
+        "u-top": first(~up[-1:], ends[1:]),
     }
     return SpaceAxiomReport(results=results, sampled=True)
 
@@ -219,13 +228,19 @@ def _exhaustive_axioms(space: ApproxSpace, limit: int) -> dict:
 
 
 def approximation_set(space: ApproxSpace, *, exhaustive_limit: int = 14) -> list[frozenset]:
-    """All lower and upper approximation images, canonically ordered.
+    """All lower and upper approximation images, in mask order.
 
     Partition-induced spaces fall back to block unions when the universe is
-    too large to exhaust; anything else past the limit raises BudgetError.
+    too large to exhaust, unless those would hold more than 2^24 members in
+    total; that, and anything else past the limit, raises BudgetError.
     """
-    if len(space.universe) > exhaustive_limit and space.blocks is not None:
-        return sorted(set(_unions(space.blocks)), key=space.subset_order)
+    uni, blocks = space.universe, space.blocks
+    if len(uni) > exhaustive_limit and blocks is not None:
+        if (len(uni) << len(blocks)) >> 1 > 1 << 24:  # each element lies in half the unions
+            raise BudgetError(f"the unions of {len(blocks)} blocks over {len(uni)} elements exceed 2^24 members")
+        pos = {el: i for i, el in enumerate(uni)}
+        # disjoint blocks sorted by their largest position: entry m of the unions has the m-th smallest mask
+        return _unions(sorted(blocks, key=lambda b: max(map(pos.__getitem__, b))))
     subsets, lo, up = _mask_table(space, exhaustive_limit)
     return [subsets[m] for m in np.unique(np.concatenate((lo, up)))]
 
@@ -310,29 +325,17 @@ class CrrfWrapper:
         return self.func(x)
 
     def validate(self, a_tau: Optional[Sequence] = None) -> CrrfValidation:
-        domain_ok = True
-        if self.kind in (CrrfKind.TYPE1, CrrfKind.TYPE3) and a_tau is not None:
-            domain_ok = set(self.domain) <= set(a_tau)
-        defined = undefined = 0
-        codomain_ok = True
-        codomain = None if self.codomain is None else set(self.codomain)
-        for x in self.domain:
-            val = self.func(x)
-            if val is None:
-                undefined += 1
-                continue
-            defined += 1
-            if codomain is not None and val not in codomain:
-                codomain_ok = False
-        total = undefined == 0
-        if self.kind in (CrrfKind.TYPE2, CrrfKind.TYPE3) and not total:
-            codomain_ok = False
+        values = [self.func(x) for x in self.domain]
+        defined = [v for v in values if v is not None]
+        total = len(defined) == len(values)
+        in_a_tau = a_tau is None or self.kind in (CrrfKind.TYPE2, CrrfKind.TYPEH) or set(self.domain) <= set(a_tau)
+        partial_ok = total or self.kind in (CrrfKind.TYPE1, CrrfKind.TYPEH)
         return CrrfValidation(
-            domain_ok=domain_ok,
-            codomain_ok=codomain_ok,
+            domain_ok=in_a_tau,
+            codomain_ok=partial_ok and (self.codomain is None or set(defined) <= set(self.codomain)),
             total=total,
-            defined_points=defined,
-            undefined_points=undefined,
+            defined_points=len(defined),
+            undefined_points=len(values) - len(defined),
         )
 
 
@@ -354,34 +357,16 @@ def xi_functions(
     a_tau = tuple(approximation_set(space))
     pairs = e1_pairs(space)
 
-    def candidates(a: frozenset) -> list[RoughPair]:
-        if constraint is Constraint.MINIMAL_COVER:
-            pool = [p for p in pairs if p.lower_part <= a <= p.upper_part]
-            if variant == 1:
-                pool = [p for p in pool if p.lower_part == a]
-            elif variant == 2:
-                pool = [p for p in pool if p.upper_part == a]
-            minimal = [
-                p
-                for p in pool
-                if not any(
-                    q is not p
-                    and q.lower_part <= p.lower_part
-                    and q.upper_part <= p.upper_part
-                    and (q.lower_part, q.upper_part) != (p.lower_part, p.upper_part)
-                    for q in pool
-                )
-            ]
-            return minimal
-        if variant == 1:
-            return [p for p in pairs if p.lower_part == a]
-        if variant == 2:
-            return [p for p in pairs if p.upper_part == a]
-        return [p for p in pairs if p.lower_part == a or p.upper_part == a]
+    touching = {1: lambda p: (p.lower_part,), 2: lambda p: (p.upper_part,), 3: lambda p: (p.lower_part, p.upper_part)}
+    touching = touching[variant]
+    below = lambda q, p: q != p and q.lower_part <= p.lower_part and q.upper_part <= p.upper_part
 
     def func(a: frozenset) -> Optional[RoughPair]:
-        cand = candidates(frozenset(a))
-        return cand[0] if cand else None
+        a = frozenset(a)
+        if constraint is Constraint.NONE:
+            return next((p for p in pairs if a in touching(p)), None)
+        pool = [p for p in pairs if p.lower_part <= a <= p.upper_part and (variant == 3 or a in touching(p))]
+        return next((p for p in pool if not any(below(q, p) for q in pool)), None)
 
     return CrrfWrapper(
         kind=CrrfKind.TYPE1,
@@ -438,17 +423,14 @@ def bkm_crrf3_trace(ds: Dataset, cfg: BkmConfig) -> list[Crrf3TraceEntry]:
         space = pawlak_space(range(ds.n), blocks_t)
         a_tau = tuple(approximation_set(space))
 
-        def make_func(blocks_next=blocks_next):
-            def func(x: frozenset):
-                overlaps = [len(x & b) for b in blocks_next]
-                return blocks_next[int(np.argmax(overlaps))]
-
-            return func
+        def func(x: frozenset, labels=history[t + 1], blocks_next=blocks_next):
+            overlaps = np.bincount(labels[np.fromiter(x, dtype=np.intp, count=len(x))], minlength=k)
+            return blocks_next[int(overlaps.argmax())]
 
         wrapper = CrrfWrapper(
             kind=CrrfKind.TYPE3,
             domain=a_tau,
-            func=make_func(),
+            func=func,
             codomain=blocks_next,
             label=f"iteration-{t + 1}-update",
             metadata={"formalization": "candidate", "style": "per-iteration partition spaces"},

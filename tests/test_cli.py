@@ -400,6 +400,31 @@ class TestCommands:
         assert json.loads(raw)["splits"] == (31 if flags else 19)
         assert hashlib.sha256(raw).hexdigest() == sha256
 
+    @pytest.mark.parametrize(
+        "argv, sha256",
+        [
+            (
+                ["--universe", "1,2,3,4,5", "--partition", "1,2|3|4,5"],
+                "69d4409a55d4fb589f50b4489026a5f95bd60442264a5d5bae946df20572fcbc",
+            ),
+            (
+                ["--input", "BLOBS", "--labels", "class", "--k", "2", "--seed", "3"],
+                "201b059640987812983465cc13362f0deb2605a240682445748f26d586d91a3f",
+            ),
+            (
+                ["--input", "BLOBS", "--labels", "class", "--k", "3", "--seed", "1"],
+                "39d547cedc545798440a5db76a1fe54c8275ab7d7199e069deffbcd8358d0567",
+            ),
+        ],
+    )
+    def test_crrf_demo_report_bytes_pinned(self, blob_csv, tmp_path, argv, sha256):
+        # both modes: the partition tables (exhaustive checks) and the clustering trace over 80
+        # points (sampled checks); a report that followed frozenset hash order would not pin
+        argv = [blob_csv if a == "BLOBS" else a for a in argv]
+        code, raw = run_to_file(["crrf-demo", *argv], tmp_path / "crrf.json")
+        assert code == EXIT_OK
+        assert hashlib.sha256(raw).hexdigest() == sha256
+
     def test_verify_metric_pass_and_fail(self, blob_csv, tmp_path):
         code, raw = run_to_file(
             ["verify-metric", "--input", blob_csv, "--labels", "class", "--metric", "euclidean"],
@@ -507,6 +532,19 @@ class TestCommands:
     def test_missing_input_is_ingestion_error(self, tmp_path):
         code = main(["cluster", "--input", str(tmp_path / "nope.csv"), "--k", "2", "--seed", "0"])
         assert code == EXIT_INGEST
+
+    @pytest.mark.parametrize(
+        "command, size, message",
+        [("crrf-demo", 15, "exhaustion limit 14"), ("verify-axioms", 11, "capped at 10 base elements")],
+    )
+    def test_budget_error_is_usage_error(self, tmp_path, capsys, command, size, message):
+        universe = ",".join(str(i) for i in range(1, size + 1))
+        partition = "1,2|" + ",".join(str(i) for i in range(3, size + 1))
+        code = main([command, "--universe", universe, "--partition", partition, "--out", str(tmp_path / "r.json")])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("budget error: ") and message in err and err.count("\n") == 1
+        assert not (tmp_path / "r.json").exists()
 
 
 class TestDeterminism:

@@ -147,7 +147,7 @@ class TestClassify:
         finally:
             tracemalloc.stop()
         assert reports[0].is_metric_on_sample and not reports[1].triangle
-        assert peak < 32 * 2**20
+        assert peak < 2 * 2**20
 
 
 class TestSetDistances:

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from granule.ball_kmeans import BkmConfig, Dataset
+from granule import rough_random
 from granule.existential import BudgetError
 from granule.rough_random import (
     ApproxSpace,
@@ -49,6 +50,11 @@ def loop_subsets(universe):
         yield frozenset(members[b] for b in range(len(members)) if mask >> b & 1)
 
 
+def mask_order(space):
+    """Sort key of a subset: its bitmask over the universe order."""
+    return lambda x: sum(1 << space.universe.index(el) for el in x)
+
+
 def loop_check_approx_axioms(space):
     """Reference: the exhaustive frozenset loop over every subset and nested pair."""
     uni = space.universe
@@ -92,24 +98,24 @@ def loop_approximation_set(space):
     out = set()
     for x in loop_subsets(space.universe):
         out.update(space.approx(x))
-    return sorted(out, key=space.subset_order)
+    return sorted(out, key=mask_order(space))
 
 
 def loop_e1_pairs(space):
     seen = {space.approx(x) for x in loop_subsets(space.universe)}
-    key = lambda p: (space.subset_order(p[0]), space.subset_order(p[1]))
+    key = lambda p: (mask_order(space)(p[0]), mask_order(space)(p[1]))
     return [RoughPair(lower_part=a, upper_part=b) for a, b in sorted(seen, key=key)]
 
 
 def loop_f_objects(space):
     a_tau = set(loop_approximation_set(space))
-    return sorted((x for x in loop_subsets(space.universe) if x not in a_tau), key=space.subset_order)
+    return sorted((x for x in loop_subsets(space.universe) if x not in a_tau), key=mask_order(space))
 
 
 def loop_e2_objects(space):
     return sorted(
         (x for x in loop_subsets(space.universe) if space.approx(x)[1] == x),
-        key=space.subset_order,
+        key=mask_order(space),
     )
 
 
@@ -166,10 +172,13 @@ class TestAxioms:
         space = pawlak_space(range(size), list(blocks.values()))
         rep = check_approx_axioms(space)
         assert rep.ok
-        # partition strengthening: approximations bracket the set, both idempotent
+        # partition strengthening: approximations bracket the set, both idempotent; and they are
+        # the unions of the blocks inside and meeting the set
         for mask in range(2**size):
             x = frozenset(i for i in range(size) if mask >> i & 1)
             lx, ux = space.approx(x)
+            assert lx == frozenset(i for b in blocks.values() if set(b) <= x for i in b)
+            assert ux == frozenset(i for b in blocks.values() if x & set(b) for i in b)
             assert lx <= x <= ux
             assert space.approx(lx)[0] == lx
             assert space.approx(ux)[1] == ux
@@ -205,13 +214,32 @@ class TestMaskTable:
         assert rep.failed() == ["l-mo"]
         assert rep.results["l-mo"] == (False, (frozenset({1}), full))
 
-    def test_one_approx_call_per_subset(self):
-        space = pawlak_space(range(6), [[0, 1], [2], [3, 4, 5]])
-        calls = []
-        approx = space.approx
-        space.approx = lambda x: calls.append(x) or approx(x)
-        assert check_approx_axioms(space).ok
-        assert len(calls) == 2**6
+    @pytest.mark.parametrize("size", [6, 16])
+    def test_partition_space_reads_its_block_table(self, size):
+        # exhaustive (6) and sampled (16) checks and every enumeration, without the public maps
+        space = pawlak_space(range(size), [[0, 1], [2], list(range(3, size))])
+
+        def spy(x):
+            raise AssertionError("a partition space's maps were called")
+
+        space.approx = space.lower = space.upper = spy
+        rep = check_approx_axioms(space)
+        assert rep.ok and rep.sampled == (size > 12)
+        assert len(approximation_set(space)) == 8
+        if size <= 14:
+            assert (len(e1_pairs(space)), len(f_objects(space)), len(e2_objects(space))) == (18, 56, 8)
+
+    @pytest.mark.parametrize("limit, calls", [(12, 2**6), (5, 3 * 40 + 2)])
+    def test_direct_space_maps_called_once_per_subset_or_row(self, limit, calls):
+        counts = {"lower": 0, "upper": 0}
+
+        def counted(name):
+            return lambda x: counts.__setitem__(name, counts[name] + 1) or x
+
+        space = ApproxSpace(universe=range(6), lower=counted("lower"), upper=counted("upper"))
+        rep = check_approx_axioms(space, exhaustive_limit=limit, samples=40)
+        assert rep.ok and rep.sampled == (limit < 6)
+        assert counts == {"lower": calls, "upper": calls}
 
     @pytest.mark.parametrize(
         "enumerate_", [check_approx_axioms, approximation_set, e1_pairs, f_objects, e2_objects]
@@ -225,9 +253,16 @@ class TestMaskTable:
         with pytest.raises(ValueError, match=r"upper of \{2\} returns \{7\} outside the universe"):
             enumerate_(space)
 
-    def test_repeated_universe_elements_are_refused(self):
-        with pytest.raises(ValueError, match="repeated"):
-            check_approx_axioms(pawlak_space([1, 1, 2], [[1], [2]]))
+    def test_sampled_check_refuses_out_of_universe_image(self):
+        space = ApproxSpace(universe=(1, 2), lower=lambda x: x, upper=lambda x: x | {7} if 2 in x else x)
+        with pytest.raises(ValueError, match=r"returns \{7\} outside the universe"):
+            check_approx_axioms(space, exhaustive_limit=1)
+
+    @pytest.mark.parametrize("limit", [12, 1])
+    def test_repeated_universe_elements_are_refused(self, limit):
+        for space in (pawlak_space([1, 1, 2], [[1], [2]]), identity_space([1, 1, 2])):
+            with pytest.raises(ValueError, match="repeated"):
+                check_approx_axioms(space, exhaustive_limit=limit)
 
 
 class TestApproximationSet:
@@ -263,6 +298,17 @@ class TestApproximationSet:
         unions = {frozenset(el for b in range(4) if m >> b & 1 for el in blocks[b]) for m in range(16)}
         assert out == sorted(unions, key=mask)
         assert out != sorted(unions, key=lambda x: sum(1 << el for el in x))  # not element order
+
+    def test_partition_fallback_budget(self, monkeypatch):
+        # the unions of k blocks over n elements hold 2^(k-1) n members in total
+        built = []
+        monkeypatch.setattr(rough_random, "_unions", lambda parts: built.append(len(parts)) or [])
+        allowed = pawlak_space(range(2000), [range(i, 2000, 14) for i in range(14)])  # 16.4M members
+        assert approximation_set(allowed) == [] and built == [14]
+        refused = pawlak_space(range(40), [[i, i + 20] for i in range(20)])  # 21.0M members
+        with pytest.raises(BudgetError, match="2\\^24"):
+            approximation_set(refused)
+        assert built == [14]
 
     def test_budget_error_for_opaque_large_space(self):
         with pytest.raises(BudgetError):
