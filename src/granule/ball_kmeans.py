@@ -57,7 +57,7 @@ class Dataset:
 
     def __post_init__(self):
         pts = np.ascontiguousarray(np.asarray(self.points, dtype=float))
-        if pts.ndim != 2 or pts.shape[0] < 1:
+        if pts.ndim != 2 or pts.size == 0:
             raise ValueError("dataset must be a non-empty (n, d) array")
         if not np.isfinite(pts).all():
             raise ValueError("dataset coordinates must be finite")

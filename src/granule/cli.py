@@ -200,8 +200,9 @@ def _sanitize(obj):
         return [_sanitize(v) for v in obj]
     if isinstance(obj, (set, frozenset)):
         return sorted((_sanitize(v) for v in obj), key=lambda x: (str(type(x)), str(x)))
-    if isinstance(obj, np.ndarray):
-        return [_sanitize(v) for v in obj.tolist()]
+    if isinstance(obj, np.ndarray):  # one tolist() unless a non-finite float needs its string
+        plain = obj.dtype.kind in "biu" or (obj.dtype.kind == "f" and np.isfinite(obj).all())
+        return obj.tolist() if plain else [_sanitize(v) for v in obj.tolist()]
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, (np.floating,)):

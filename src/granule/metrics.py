@@ -64,7 +64,10 @@ class DistanceFn:
     ``eval`` maps a pair of equal-length 1-D vectors to a nonnegative float.
     ``rows``, when present, is a vectorized form mapping a (m, d) matrix and a
     (d,) or (m, d) ``v`` to the (m,) row distances, row i against ``v`` or
-    ``v[i]``; it must agree bit-for-bit with ``eval`` applied row by row.
+    ``v[i]``; it must agree bit-for-bit with ``eval`` applied row by row.  The
+    named kernels reduce rows of at most 8 coordinates one column at a time,
+    in numpy's own order (``_row_reduce``): ``rows`` still equals ``eval`` bit
+    for bit, and the result does not depend on the operands' memory layout.
     """
 
     name: str
@@ -77,14 +80,30 @@ class DistanceFn:
         return self.eval(a, b)
 
 
+def _row_reduce(ufunc: np.ufunc, t: np.ndarray) -> np.ndarray:
+    """``ufunc.reduce`` over the rows of a C-ordered copy of the (m, d) ``t``, bit for bit (a row where two
+    different nans meet is nan, either one).  Up to d = 8 coordinates of float64 it goes one (m,) column at a
+    time in numpy's own order, far faster than numpy's per-row loop over a short axis: from the identity (+0.0
+    for a sum), left to right below 8, numpy's 8-accumulator tree at 8."""
+    d = t.shape[1]
+    if t.dtype != np.float64 or not 1 <= d <= 8:
+        return ufunc.reduce(np.ascontiguousarray(t), axis=1)
+    cols = [t[:, j] for j in range(d)]
+    if ufunc.identity is not None:
+        cols[0] = ufunc(cols[0], ufunc.identity)
+    else:  # numpy's maximum of a row that starts at a nan is the plain nan
+        cols[0] = np.where((d > 1) & np.isnan(cols[0]), np.nan, cols[0])
+    if d == 8:  # ((c0 + c1) + (c2 + c3)) + ((c4 + c5) + (c6 + c7))
+        while len(cols) > 1:
+            cols = [ufunc(a, b) for a, b in zip(cols[::2], cols[1::2])]
+    for col in cols[1:]:
+        ufunc(cols[0], col, out=cols[0])
+    return cols[0]
+
+
 def _sqeuclidean_rows(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     diff = m - v
-    return np.sum(diff * diff, axis=1)
-
-
-def _euclidean_rows(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    diff = m - v
-    return np.sqrt(np.sum(diff * diff, axis=1))
+    return _row_reduce(np.add, diff * diff)
 
 
 def euclidean() -> DistanceFn:
@@ -92,7 +111,7 @@ def euclidean() -> DistanceFn:
         name="euclidean",
         eval=lambda a, b: float(math.sqrt(np.sum((a - b) * (a - b)))),
         declared_kind=Kind.METRIC,
-        rows=_euclidean_rows,
+        rows=lambda m, v: np.sqrt(_sqeuclidean_rows(m, v)),
     )
 
 
@@ -111,7 +130,7 @@ def manhattan() -> DistanceFn:
         name="manhattan",
         eval=lambda a, b: float(np.sum(np.abs(a - b))),
         declared_kind=Kind.METRIC,
-        rows=lambda m, v: np.sum(np.abs(m - v), axis=1),
+        rows=lambda m, v: _row_reduce(np.add, np.abs(m - v)),
     )
 
 
@@ -120,7 +139,7 @@ def chebyshev() -> DistanceFn:
         name="chebyshev",
         eval=lambda a, b: float(np.max(np.abs(a - b))),
         declared_kind=Kind.METRIC,
-        rows=lambda m, v: np.max(np.abs(m - v), axis=1),
+        rows=lambda m, v: _row_reduce(np.maximum, np.abs(m - v)),
     )
 
 
@@ -134,7 +153,7 @@ def forward_gap() -> DistanceFn:
         name="forward-gap",
         eval=lambda a, b: float(np.sum(np.maximum(a - b, 0.0))),
         declared_kind=Kind.QUASIMETRIC,
-        rows=lambda m, v: np.sum(np.maximum(m - v, 0.0), axis=1),
+        rows=lambda m, v: _row_reduce(np.add, np.maximum(m - v, 0.0)),
     )
 
 

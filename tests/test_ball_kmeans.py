@@ -99,6 +99,12 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset(np.zeros(4))
 
+    def test_rejects_zero_width(self):
+        # points without coordinates would give a "converged" partition and a raw numpy error in chebyshev
+        for empty in (np.empty((5, 0)), np.empty((0, 3)), np.empty((0, 0))):
+            with pytest.raises(ValueError, match=r"non-empty \(n, d\) array"):
+                Dataset(empty)
+
 
 class TestInit:
     def test_singleton_partition_when_k_equals_n(self):

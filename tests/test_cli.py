@@ -22,6 +22,7 @@ from granule.cli import (
     EXIT_VERIFY,
     IngestionError,
     _build_parser,
+    _sanitize,
     load_csv,
     main,
 )
@@ -399,6 +400,41 @@ class TestCommands:
         assert code == EXIT_OK
         assert json.loads(raw)["splits"] == (31 if flags else 19)
         assert hashlib.sha256(raw).hexdigest() == sha256
+
+    @pytest.mark.parametrize(
+        "command, argv, ties, sha256",
+        [
+            ("cluster", ["BLOBS", "--labels", "class", "--k", "2", "--seed", "3"], 0,
+             "5ae9fabfd8ca88794bd01651f73f193e7e7356b777096f74ca0ef7f590b19b74"),
+            ("lloyd", ["BLOBS", "--labels", "class", "--k", "2", "--seed", "3"], 0,
+             "47815a1823c2cd08a176a7c4f696b586311011349d8ce37639012833b5b2c3da"),
+            ("cluster", ["LINE", "--k", "3", "--seed", "0", "--init", "plusplus"], 1,
+             "493e66b564d70ac1adbe107416eb4f9c538b72033319d43d8f15c03f50a34267"),
+            ("lloyd", ["LINE", "--k", "3", "--seed", "0", "--init", "plusplus"], 1,
+             "047fb37e3fd656015b46a82eb16f6f89fe4b5dc480a4462ef7fdba8093e20c8d"),
+        ],
+    )
+    def test_cluster_report_bytes_pinned(self, blob_csv, tmp_path, command, argv, ties, sha256):
+        # the blob fixture, and the points 0..6 on a line, where ++ leaves point 3 tied between two centers
+        line = write_csv(tmp_path / "line.csv", [[v] for v in range(7)])
+        argv = ["--input", {"BLOBS": blob_csv, "LINE": line}[argv[0]], *argv[1:]]
+        code, raw = run_to_file([command, *argv], tmp_path / "r.json")
+        assert code == EXIT_OK
+        assert len(json.loads(raw)["ties"]) == ties
+        assert hashlib.sha256(raw).hexdigest() == sha256
+
+    def test_sanitize_walks_only_non_finite_float_arrays(self):
+        report = {
+            "f": np.array([[1.5, np.inf], [-np.inf, np.nan]]),
+            "g": np.array([0.1, -0.0]),
+            "i": np.arange(3, dtype=np.int32),
+            "b": np.array([True, False]),
+            "s": [{frozenset({2, 1}), np.float64(np.nan), np.int64(4)}],
+        }
+        assert json.dumps(_sanitize(report), sort_keys=True) == (
+            '{"b": [true, false], "f": [[1.5, "inf"], ["-inf", "nan"]], "g": [0.1, -0.0], '
+            '"i": [0, 1, 2], "s": [[4, [1, 2], "nan"]]}'
+        )
 
     @pytest.mark.parametrize(
         "argv, sha256",

@@ -214,13 +214,13 @@ class TestSetDistances:
 
 
 class TestRowKernels:
-    @pytest.mark.parametrize("factory", [euclidean, manhattan, chebyshev])
-    def test_paired_rows_match_eval_bit_for_bit(self, factory):
+    @pytest.mark.parametrize("name", sorted(NAMED_DISTANCES))
+    def test_paired_rows_match_eval_bit_for_bit(self, name):
         # row i against v[i]: ball k-means gathers own centers and center shifts this way
-        fn = factory()
+        fn = NAMED_DISTANCES[name]()
         bare = dataclasses.replace(fn, rows=None)
         rng = np.random.default_rng(0)
-        for d in (1, 2, 3, 8, 33):
+        for d in [*range(1, 17), 33]:
             for scale in (1e-3, 1.0, 1e3, 1e8):
                 a = rng.normal(0, scale, (100, d))
                 b = a + rng.normal(0, scale, (100, d)) * rng.choice([1e-9, 1.0], (100, 1))
@@ -228,6 +228,45 @@ class TestRowKernels:
                 assert fn.rows(a, b).tobytes() == ref.tobytes()
                 assert row_distances(bare, a, b).tobytes() == ref.tobytes()
                 assert row_distances(bare, a, b[0]).tobytes() == fn.rows(a, b[0]).tobytes()
+
+    @pytest.mark.parametrize("ufunc", [np.add, np.maximum], ids=lambda u: u.__name__)
+    def test_row_reduce_is_numpys_reduce_bit_for_bit(self, ufunc):
+        # pins the column order of _row_reduce to numpy's summation order: a numpy that changes it fails here
+        rng = np.random.default_rng(26)
+        nans = np.array([0x7FF8000000000002, 0xFFF8000000000001], dtype=np.uint64).view(float)  # with payloads
+        specials = np.array([0.0, -0.0, 1.0, -np.inf, np.nan, -np.nan, *nans])
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and nan rows on purpose
+            for d in [*range(41), 129]:
+                for scale in (1e-300, 1e-150, 1.0, 1e150, 1e300):
+                    t = rng.normal(0, 1, (40, d)) * scale * np.exp(rng.uniform(-20, 20, (40, d)))
+                    t[:10] = [[0.0], [-0.0], [np.inf], [-np.inf], [np.nan], [-np.nan], [np.inf], [-0.0], [1.0], [1.0]]
+                    t[6, 1::2] = -np.inf  # inf - inf: nan with its own sign bit
+                    t[7, ::3] = 0.0
+                    t[8, :1], t[9, -1:] = nans  # one nan, first or last
+                    t[24:] = rng.choice(specials, (16, d))  # which zero or nan wins depends on the order
+                    for x in (t, np.asfortranarray(t)):
+                        if d == 0 and ufunc is np.maximum:  # no identity: numpy's own error, unchanged
+                            with pytest.raises(ValueError, match="zero-size array"):
+                                metrics._row_reduce(ufunc, x)
+                            continue
+                        ref = ufunc.reduce(np.ascontiguousarray(x), axis=1)
+                        got = metrics._row_reduce(ufunc, x)
+                        # numpy's compiled 8-term sum adds c3 + c2, so it keeps c3's nan where c2 and c3 hold two
+                        # different nans: which nan a row keeps is no part of the order, only that it is nan
+                        loose = (np.arange(len(t)) >= 24) & np.isnan(ref) & (ufunc is np.add and d == 8)
+                        assert got[~loose].tobytes() == ref[~loose].tobytes(), (d, scale, x.flags.f_contiguous)
+                        assert np.isnan(got[loose]).all()
+        ints = np.arange(-12, 12).reshape(4, 6)
+        assert metrics._row_reduce(ufunc, ints).tobytes() == ufunc.reduce(ints, axis=1).tobytes()
+
+    def test_named_kernels_reduce_through_row_reduce(self, monkeypatch):
+        seen = []
+        real = metrics._row_reduce
+        monkeypatch.setattr(metrics, "_row_reduce", lambda u, t: seen.append(u) or real(u, t))
+        m = np.arange(12.0).reshape(4, 3)
+        for name in sorted(NAMED_DISTANCES):
+            NAMED_DISTANCES[name]().rows(m, m[0])
+        assert seen == [np.maximum, np.add, np.add, np.add, np.add]
 
 
 class TestPairwise:
