@@ -87,6 +87,8 @@ class AmbientBall:
 
     def __post_init__(self):
         object.__setattr__(self, "center", np.atleast_1d(np.asarray(self.center, dtype=float)))
+        if self.center.ndim != 1 or not self.center.size:
+            raise ValueError(f"center must be a scalar or a non-empty 1-D vector, got shape {self.center.shape}")
         if self.radius < 0:
             raise ValueError("radius must be nonnegative")
 

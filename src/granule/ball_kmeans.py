@@ -44,6 +44,16 @@ class ConfigError(ValueError):
     """Invalid clustering configuration."""
 
 
+def _integer(value, what: str, error: type = ValueError) -> int:
+    """``value`` as an int, refusing a bool and any value that ``int()`` would change (0.7, "1", nan)."""
+    try:
+        if int(value) == value and not isinstance(value, (bool, np.bool_)):
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise error(f"{what} must be an integer, got {value!r}")
+
+
 class Init(enum.Enum):
     RANDOM_PARTITION = "random"
     PLUS_PLUS = "plusplus"
@@ -81,6 +91,8 @@ class BkmConfig:
     distance: DistanceFn = field(default_factory=euclidean)
 
     def __post_init__(self):
+        for name in ("k", "max_iter"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name, ConfigError))
         if self.k < 1:
             raise ConfigError("k must be positive")
         if self.max_iter < 1:

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .ball_kmeans import BkmConfig, Dataset, Init, RunStats, _cluster_groups, _groups
+from .ball_kmeans import BkmConfig, Dataset, Init, RunStats, _centers_of, _cluster_groups, _integer
 from .metrics import DistanceFn, _blocks, _pairwise, euclidean, row_distances
 
 __all__ = [
@@ -53,7 +53,7 @@ class LabeledDataset:
     labels: tuple
 
     def __post_init__(self):
-        labels = tuple(None if l is None else int(l) for l in self.labels)
+        labels = tuple(l if l is None or type(l) is int else _integer(l, "label") for l in self.labels)
         if len(labels) != self.points.n:
             raise ValueError("labels length must match the dataset size")
         object.__setattr__(self, "labels", labels)
@@ -67,9 +67,11 @@ class LabeledDataset:
         return self.points.n
 
     @cached_property
-    def _label_array(self) -> tuple[np.ndarray, np.ndarray]:
-        """The labels as an array (0 where unlabeled) and the labeled mask."""
-        return np.array([0 if l is None else l for l in self.labels]), np.array([l is not None for l in self.labels])
+    def _label_ranks(self) -> tuple[np.ndarray, tuple]:
+        """Each point's rank among the distinct labels (-1 where unlabeled), and those labels ascending."""
+        values = tuple(sorted({l for l in self.labels if l is not None}))
+        rank = {l: r for r, l in enumerate(values)}
+        return np.array([rank.get(l, -1) for l in self.labels], dtype=np.intp), values
 
 
 @dataclass(frozen=True)
@@ -153,6 +155,8 @@ class GbConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("min_points", "split_k", "max_depth"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if not (0.0 < self.purity_threshold <= 1.0):
             raise ValueError("purity_threshold must be in (0, 1]")
         if self.min_points < 1:
@@ -181,45 +185,43 @@ class GbResult:
             self.balls = BallSet(self.balls)
 
 
-def _label_stats(ds: LabeledDataset, members: Sequence[int]) -> tuple[Optional[float], Optional[int]]:
-    """Majority-label share among the labeled members and that label, ties to the smallest label."""
-    values, labeled = ds._label_array
-    idx = np.asarray(members, dtype=np.intp)
-    found, counts = np.unique(values[idx[labeled[idx]]], return_counts=True)
-    if not found.size:
-        return None, None
-    top = int(np.argmax(counts))  # the first maximal count: the smallest label
-    return int(counts[top]) / int(counts.sum()), int(found[top])
+def _balls(ds: LabeledDataset, idx: np.ndarray, assign: np.ndarray, k: int, fn: DistanceFn) -> list[GranularBall]:
+    """The k balls of the rows ``idx`` grouped by ``assign`` (ids 0..k-1, none empty), members in ``idx`` order:
+    mean center (``_centers_of``), mean member distance from one row-kernel call as radius, and the majority
+    label of the labeled members, ties to the smallest, with its share as purity (both None if none is labeled)."""
+    x = ds.points.points[idx]
+    centers, order, cuts = _centers_of(x, assign, k)
+    sizes, members = np.diff(cuts), idx[order]
+    dist = row_distances(fn, x[order], np.repeat(centers, sizes, axis=0))
+    ranks, values = ds._label_ranks
+    rank, width = ranks[members], len(values) + 1
+    pairs, counts = np.unique((np.repeat(np.arange(k), sizes) * width + rank)[rank >= 0], return_counts=True)
+    owner, label = np.divmod(pairs, width)  # (ball, label rank) pairs ascending
+    labeled, starts = np.unique(owner, return_index=True)  # the labeled balls and their first pairs
+    top = np.lexsort((-counts, owner))[starts]  # stable: each ball's first maximal count, its smallest label's
+    stats = zip(labeled.tolist(), counts[top].tolist(), np.add.reduceat(counts, starts).tolist(), label[top].tolist())
+    majority = {g: (count / total, values[r]) for g, count, total, r in stats}
+    members = members.tolist()
+    return [
+        GranularBall(centers[g], float(dist[a:b].mean()), tuple(members[a:b]), *majority.get(g, (None, None)))
+        for g, (a, b) in enumerate(zip(cuts, cuts[1:]))
+    ]
 
 
 def make_ball(ds: LabeledDataset, members: Sequence[int], distance: DistanceFn = None) -> GranularBall:
     """Ball over the given member indices: mean center, mean distance radius."""
-    mem = tuple(sorted(int(i) for i in members))
+    mem = tuple(sorted(i if type(i) is int else _integer(i, "member index") for i in members))
     if not mem:
         raise ValueError("cannot build a ball over an empty member set")
     if mem[0] < 0 or mem[-1] >= ds.n or len(set(mem)) < len(mem):
         bad = next(i for i, j in zip(mem, mem[1:] + (ds.n,)) if i < 0 or i >= j)  # sorted: a repeat is not below its successor
         raise ValueError(f"member index {bad} is repeated or outside 0..{ds.n - 1}")
-    return _ball(ds, np.array(mem), distance if distance is not None else euclidean())
-
-
-def _ball(ds: LabeledDataset, idx: np.ndarray, fn: DistanceFn) -> GranularBall:
-    """``make_ball`` over a non-empty, ascending array of distinct valid indices, unchecked."""
-    pts = ds.points.points[idx]
-    center = pts.mean(axis=0)
-    pur, maj = _label_stats(ds, idx)
-    return GranularBall(
-        center=center,
-        radius=float(row_distances(fn, pts, center).mean()),
-        members=tuple(idx.tolist()),
-        purity=pur,
-        majority_label=maj,
-    )
+    return _balls(ds, np.array(mem), np.zeros(len(mem), dtype=np.intp), 1, distance if distance is not None else euclidean())[0]
 
 
 def purity(ball: GranularBall, ds: LabeledDataset) -> Optional[float]:
     """Majority-label share among labeled members; None when no member is labeled."""
-    return _label_stats(ds, ball.members)[0]
+    return make_ball(ds, ball.members).purity
 
 
 def _child_seed(base_seed: int, depth: int, min_member: int) -> int:
@@ -249,8 +251,7 @@ def _split_frontier(ds: LabeledDataset, balls: Sequence[GranularBall], k: int, s
     cfg = BkmConfig(k=k, init=Init.PLUS_PLUS)
     seeds = [_child_seed(seed, depth, b.members[0]) for b in balls]
     assign, _, _, _ = _cluster_groups(ds.points.points[idx], bounds, seeds, cfg, RunStats())
-    order, cuts = _groups(assign, len(balls) * k)  # by child, members ascending within each
-    children = [_ball(ds, idx[order[a:b]], cfg.distance) for a, b in zip(cuts, cuts[1:])]
+    children = _balls(ds, idx, assign, len(balls) * k, cfg.distance)  # members ascending within each
     return [sorted(children[g * k : g * k + k], key=lambda c: c.members[0]) for g in range(len(balls))]
 
 

@@ -200,8 +200,8 @@ def row_distances(fn: DistanceFn, m: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def _as_point(p) -> np.ndarray:
     a = np.atleast_1d(np.asarray(p, dtype=float))
-    if a.ndim != 1:
-        raise ValueError(f"points must be scalars or 1-D vectors, got shape {a.shape}")
+    if a.ndim != 1 or not a.size:
+        raise ValueError(f"points must be scalars or non-empty 1-D vectors, got shape {a.shape}")
     return a
 
 

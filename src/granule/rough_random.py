@@ -230,19 +230,22 @@ def _exhaustive_axioms(space: ApproxSpace, limit: int) -> dict:
 def approximation_set(space: ApproxSpace, *, exhaustive_limit: int = 14) -> list[frozenset]:
     """All lower and upper approximation images, in mask order.
 
-    Partition-induced spaces fall back to block unions when the universe is
-    too large to exhaust, unless those would hold more than 2^24 members in
-    total; that, and anything else past the limit, raises BudgetError.
+    For a partition-induced space these are the unions of its blocks, at any
+    universe size, unless they would hold more than 2^24 members in total;
+    any other space is exhausted up to ``exhaustive_limit`` elements.  Past
+    either bound, BudgetError.
     """
     uni, blocks = space.universe, space.blocks
-    if len(uni) > exhaustive_limit and blocks is not None:
-        if (len(uni) << len(blocks)) >> 1 > 1 << 24:  # each element lies in half the unions
-            raise BudgetError(f"the unions of {len(blocks)} blocks over {len(uni)} elements exceed 2^24 members")
-        pos = {el: i for i, el in enumerate(uni)}
-        # disjoint blocks sorted by their largest position: entry m of the unions has the m-th smallest mask
-        return _unions(sorted(blocks, key=lambda b: max(map(pos.__getitem__, b))))
-    subsets, lo, up = _mask_table(space, exhaustive_limit)
-    return [subsets[m] for m in np.unique(np.concatenate((lo, up)))]
+    if blocks is None:
+        subsets, lo, up = _mask_table(space, exhaustive_limit)
+        return [subsets[m] for m in np.unique(np.concatenate((lo, up)))]
+    pos = {el: i for i, el in enumerate(uni)}
+    if len(pos) != len(uni):
+        raise ValueError("universe has repeated elements")
+    if (len(uni) << len(blocks)) >> 1 > 1 << 24:  # each element lies in half the unions
+        raise BudgetError(f"the unions of {len(blocks)} blocks over {len(uni)} elements exceed 2^24 members")
+    # disjoint blocks sorted by their largest position: entry m of the unions has the m-th smallest mask
+    return _unions(sorted(blocks, key=lambda b: max(map(pos.__getitem__, b))))
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,16 @@ def int_line_ball(radius=3):
     )
 
 
+class TestAmbientBall:
+    @pytest.mark.parametrize("center, shape", [([], r"\(0,\)"), (np.empty((1, 0)), r"\(1, 0\)"), ([[0.0]], r"\(1, 1\)")])
+    def test_zero_width_or_matrix_center_refused(self, center, shape):
+        with pytest.raises(ValueError, match=f"non-empty 1-D vector, got shape {shape}"):
+            AmbientBall(center=center, radius=1.0)
+
+    def test_scalar_center_is_one_coordinate(self):
+        assert AmbientBall(center=2.0, radius=1.0).center.tolist() == [2.0]
+
+
 class TestOplus:
     def test_defined_inside(self):
         ball = AmbientBall(center=[0.0], radius=1.0)

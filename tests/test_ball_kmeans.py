@@ -144,6 +144,18 @@ class TestInit:
         with pytest.raises(ConfigError):
             BkmConfig(k=2, max_iter=0)
 
+    @pytest.mark.parametrize(
+        "field, value", [("k", 2.5), ("k", True), ("k", "2"), ("max_iter", 9.9), ("max_iter", np.True_)]
+    )
+    def test_non_integral_config_refused(self, field, value):
+        # a truncated k or max_iter, or k=True (one cluster), would run silently
+        with pytest.raises(ConfigError, match=f"{field} must be an integer, got {value!r}"):
+            BkmConfig(**{"k": 2, field: value})
+
+    def test_integral_config_values_become_ints(self):
+        cfg = BkmConfig(k=np.int64(3), max_iter=5.0)
+        assert (cfg.k, cfg.max_iter) == (3, 5) and type(cfg.k) is int and type(cfg.max_iter) is int
+
 
 class TestGeometry:
     def test_center_examples(self):

@@ -25,7 +25,7 @@ from granule.granular_ball import (
     resolve_overlaps,
     split,
 )
-from granule.metrics import DistanceFn, chebyshev, euclidean, forward_gap, manhattan, row_distances
+from granule.metrics import NAMED_DISTANCES, DistanceFn, chebyshev, euclidean, forward_gap, manhattan, row_distances
 
 
 def ball_of(center, radius, members, label, purity_=1.0):
@@ -36,6 +36,18 @@ def ball_of(center, radius, members, label, purity_=1.0):
         purity=purity_,
         majority_label=label,
     )
+
+
+class TestLabeledDataset:
+    @pytest.mark.parametrize("label", [0.5, 1.7, True, np.True_, "1", float("nan")])
+    def test_non_integral_labels_refused(self, label):
+        # int() would read 0.5, 1.7 and True as the classes 0, 1 and 1
+        with pytest.raises(ValueError, match=f"label must be an integer, got {label!r}"):
+            LabeledDataset.build([[0.0], [1.0]], [0, label])
+
+    def test_integral_labels_become_ints(self):
+        ds = LabeledDataset.build([[0.0], [1.0], [2.0], [3.0]], [np.int64(4), 2.0, None, 2**70])
+        assert ds.labels == (4, 2, None, 2**70) and all(type(l) is int for l in ds.labels if l is not None)
 
 
 class TestMakeBall:
@@ -64,6 +76,17 @@ class TestMakeBall:
             b = make_ball(ds, range(5))
             assert (b.majority_label, b.purity) == (want, 0.5)
             assert type(b.majority_label) is int and type(b.purity) is float
+
+    @pytest.mark.parametrize("members", [[0.7, 1.2, 3.9], [True, False], np.array([True, False, True]), ["1"], [float("nan")]])
+    def test_non_integral_members_refused(self, members):
+        # int() would truncate 0.7 to 0, and a boolean mask would read as the indices 0 and 1
+        ds = LabeledDataset.build([[float(i)] for i in range(5)], [0] * 5)
+        with pytest.raises(ValueError, match="member index must be an integer"):
+            make_ball(ds, members)
+
+    def test_integral_members_of_any_type_accepted(self):
+        ds = LabeledDataset.build([[float(i)] for i in range(5)], [0] * 5)
+        assert make_ball(ds, [np.int64(3), 1.0, np.uint8(2)]).members == (1, 2, 3)
 
     def test_empty_member_set_rejected(self):
         ds = LabeledDataset.build([[0.0]], [0])
@@ -94,6 +117,71 @@ class TestMakeBall:
         for dist in (fn, dataclasses.replace(fn, rows=None)):
             b = make_ball(ds, range(40), dist)
             assert b.radius == np.array([fn.eval(p, b.center) for p in pts]).mean()
+
+
+def reference_ball(ds, members, fn):
+    """Reference ball built apart from the library's builder: ``mean(axis=0)`` center, mean row-kernel
+    distance radius, and ``np.unique`` over the labeled members, ties to the smallest label."""
+    idx = np.array(sorted(members))
+    pts = ds.points.points[idx]
+    center = pts.mean(axis=0)
+    labels = [ds.labels[i] for i in idx if ds.labels[i] is not None]
+    pur = maj = None
+    if labels:
+        found, counts = np.unique(np.array(labels, dtype=object), return_counts=True)
+        top = int(np.argmax(counts))  # the first maximal count: the smallest label
+        pur, maj = int(counts[top]) / len(labels), int(found[top])
+    return GranularBall(center, float(row_distances(fn, pts, center).mean()), tuple(idx.tolist()), pur, maj)
+
+
+def tied_labels(ball, ds):
+    counts = collections.Counter(ds.labels[i] for i in ball.members if ds.labels[i] is not None)
+    return list(counts.values()).count(max(counts.values(), default=0)) > 1
+
+
+# every named distance, and one without a row kernel
+REFERENCE_DISTANCES = [f() for f in NAMED_DISTANCES.values()] + [
+    DistanceFn(name="cube-root", eval=lambda a, b: float(np.sum(np.abs(a - b) ** 3) ** (1 / 3)))
+]
+
+
+class TestReferenceBall:
+    """``make_ball`` and every ball of ``generate`` equal a ball built apart from the library's builder."""
+
+    @staticmethod
+    def dataset(d, n, seed):
+        # duplicate points, unlabeled points, and labels from a small set, so that ties are common
+        rng = np.random.default_rng(seed)
+        x = rng.normal(0.0, 2.0, (n, d))
+        x[rng.integers(0, n, n // 5)] = x[rng.integers(0, n, n // 5)]
+        labels = [None if v == 3 else int(v) for v in rng.integers(0, 4, n)]
+        labels[0] = 0
+        return LabeledDataset.build(x, labels)
+
+    @pytest.mark.parametrize("fn", REFERENCE_DISTANCES, ids=lambda fn: fn.name)
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_make_ball(self, d, fn):
+        ds = self.dataset(d, 60, seed=d)
+        rng = np.random.default_rng(100 + d)
+        by_label = collections.defaultdict(list)
+        for i, l in enumerate(ds.labels):
+            by_label[l].append(i)
+        tie = by_label[2][:2] + by_label[1][:2] + by_label[None][:1]  # 2 against 1: label 1 wins
+        member_sets = [rng.choice(ds.n, size, replace=False) for size in (1, 2, 3, 4, 7, 16, 33, 60)]
+        for members in member_sets + [tie, by_label[None][:3]]:
+            assert make_ball(ds, members, fn) == reference_ball(ds, members, fn)
+        assert tied_labels(make_ball(ds, tie), ds) and make_ball(ds, tie).majority_label == 1
+        assert make_ball(ds, by_label[None][:3]).majority_label is None
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_generate(self, d):
+        ds = self.dataset(d, 300, seed=20 + d)
+        for cfg in (GbConfig(purity_threshold=1.0, split_k=3, seed=d), GbConfig(0.8, min_points=4, overlap_resolution=True)):
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "overlap resolution over balls without a majority label")
+                balls = generate(ds, cfg).balls
+            assert all(b == reference_ball(ds, b.members, euclidean()) for b in balls)
+        assert any(tied_labels(b, ds) for b in balls) and any(b.majority_label is None for b in balls)
 
 
 class TestPurity:
@@ -212,6 +300,19 @@ class TestGenerate:
             GbConfig(purity_threshold=0.0)
         with pytest.raises(ValueError):
             GbConfig(purity_threshold=0.5, split_k=1)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("min_points", 1.5), ("min_points", True), ("split_k", 2.5), ("split_k", "3"), ("max_depth", 4.2), ("max_depth", np.True_)],
+    )
+    def test_non_integral_config_refused(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
+            GbConfig(0.9, **{field: value})
+
+    def test_integral_config_values_become_ints(self):
+        cfg = GbConfig(0.9, min_points=np.int64(2), split_k=3.0, max_depth=np.uint8(5))
+        assert [type(v) for v in (cfg.min_points, cfg.split_k, cfg.max_depth)] == [int] * 3
+        assert (cfg.min_points, cfg.split_k, cfg.max_depth) == (2, 3, 5)
 
 
 class TestOverlap:

@@ -196,6 +196,21 @@ class TestSetDistances:
         with pytest.raises(ValueError, match=shapes):
             classify_distance(euclidean(), [[1.0], [2.0, 3.0]])
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: classify_distance(chebyshev(), [[], []]),
+            lambda: hausdorff_distance(euclidean(), [[]], [[]]),
+            lambda: infimal_distance(euclidean(), [[]], [[]]),
+            lambda: point_set_distance(euclidean(), [], [[]]),
+        ],
+        ids=["classify_distance", "hausdorff_distance", "infimal_distance", "point_set_distance"],
+    )
+    def test_zero_width_points_refused(self, call):
+        # a reduction over no coordinates is numpy's error for max, and a silent 0.0 for a sum
+        with pytest.raises(ValueError, match=r"non-empty 1-D vectors, got shape \(0,\)"):
+            call()
+
 
     @given(points_1d, points_1d)
     def test_hausdorff_dominates_infimal(self, h, f):

@@ -298,6 +298,14 @@ class TestApproximationSet:
         unions = {frozenset(el for b in range(4) if m >> b & 1 for el in blocks[b]) for m in range(16)}
         assert out == sorted(unions, key=mask)
         assert out != sorted(unions, key=lambda x: sum(1 << el for el in x))  # not element order
+        # partition spaces take the block unions at every size; on small universes these equal the
+        # exhaustive images of the same maps, taken when the space hides its blocks
+        rng = np.random.default_rng(25)
+        for _ in range(100):
+            universe = rng.permutation(20)[: rng.integers(1, 10)].tolist()
+            labels = rng.integers(0, rng.integers(1, len(universe) + 1), len(universe))
+            space = pawlak_space(universe, [[el for el, l in zip(universe, labels) if l == b] for b in set(labels)])
+            assert approximation_set(space) == approximation_set(ApproxSpace(universe, space.lower, space.upper))
 
     def test_partition_fallback_budget(self, monkeypatch):
         # the unions of k blocks over n elements hold 2^(k-1) n members in total
