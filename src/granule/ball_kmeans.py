@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .metrics import DistanceFn, Kind, _pairwise, _sqeuclidean_rows, euclidean, row_distances
+from .metrics import DistanceFn, Kind, _blocks, _pairwise, _sqeuclidean_rows, euclidean, row_distances
 
 __all__ = [
     "Dataset",
@@ -91,8 +91,10 @@ class BkmConfig:
     distance: DistanceFn = field(default_factory=euclidean)
 
     def __post_init__(self):
-        for name in ("k", "max_iter"):
+        for name in ("k", "max_iter", "seed"):
             object.__setattr__(self, name, _integer(getattr(self, name), name, ConfigError))
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.k < 1:
             raise ConfigError("k must be positive")
         if self.max_iter < 1:
@@ -485,7 +487,8 @@ def run(
 def lloyd_run(
     ds: Dataset, cfg: BkmConfig, *, record_history: bool = False
 ) -> tuple[Clustering, RunStats]:
-    """Textbook full-scan iteration with the same init, movement rule and repair."""
+    """Textbook full-scan iteration with the same init, movement rule and repair: one ``_pairwise`` (n, k)
+    matrix per iteration, and the first argmin of each row whose own distance is not the row minimum."""
     x, n, k = ds.points, ds.n, cfg.k
     assign = _init_assignments(x, k, cfg.seed, cfg.init)
     stats = RunStats()
@@ -495,10 +498,10 @@ def lloyd_run(
         centers, _, _ = _centers_of(x, assign, k)
         dfull = _pairwise(cfg.distance, x, centers)
         stats.distance_computations += n * k
-        cur = dfull[np.arange(n), assign]
-        best = dfull.min(axis=1)
-        first = dfull.argmin(axis=1)
-        new_assign = np.where(cur == best, assign, first)
+        movers = np.flatnonzero(dfull[np.arange(n), assign] != dfull.min(axis=1))  # nan included
+        new_assign = assign.copy()
+        for rows in _blocks(movers.size, k):
+            new_assign[movers[rows]] = dfull[movers[rows]].argmin(axis=1)
         moved = int((new_assign != assign).sum())
         moved += int(_repair_empty(new_assign, k, lambda mem, c: dfull[mem, c], stats)[0])
         stats.points_moved_per_iter.append(int(moved))

@@ -14,6 +14,7 @@ import argparse
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 import sys
@@ -263,19 +264,21 @@ def _cmd_bench(args) -> int:
     cfg, config = _kmeans(args)
     repeats = []
     timings = []
-    equal = True
     for _ in range(args.repeats):
         t0 = time.perf_counter()
-        fast, fast_stats = run(ds.points, cfg)
+        fast, fast_stats = run(ds.points, cfg, record_history=True)
         t1 = time.perf_counter()
-        naive, naive_stats = lloyd_run(ds.points, cfg)
+        naive, naive_stats = lloyd_run(ds.points, cfg, record_history=True)
         t2 = time.perf_counter()
-        same = bool(np.array_equal(fast.assignments, naive.assignments))
-        equal = equal and same
+        steps = itertools.zip_longest(fast.history, naive.history)  # an iteration only one side ran is None
+        first_diff = next((i for i, (f, n) in enumerate(steps) if not np.array_equal(f, n)), None)
         timings.append({"accelerated_s": t1 - t0, "naive_s": t2 - t1})
         repeats.append(
             {
-                "partitions_equal": same,
+                "partitions_equal": bool(np.array_equal(fast.assignments, naive.assignments)),
+                "histories_equal": first_diff is None,
+                "first_differing_iteration": first_diff,
+                "ties_equal": fast.ties == naive.ties,
                 "accelerated": {
                     "iterations": fast_stats.iterations,
                     "distance_computations": fast_stats.distance_computations,
@@ -292,7 +295,7 @@ def _cmd_bench(args) -> int:
     report = {
         "manifest": _manifest("bench", args.seed, digest, {**config, "repeats": args.repeats}),
         "repeats": repeats,
-        "all_partitions_equal": equal,
+        "all_partitions_equal": all(r["partitions_equal"] for r in repeats),
         "acceleration_holds": all(
             r["accelerated"]["distance_computations"] <= r["naive"]["distance_computations"]
             for r in repeats
@@ -305,8 +308,8 @@ def _cmd_bench(args) -> int:
             f"accelerated {t['accelerated_s']:.4f}s, naive {t['naive_s']:.4f}s\n"
         )
     _emit(report, args.out)
-    if not equal:
-        sys.stderr.write("FATAL: accelerated and naive partitions differ\n")
+    if not all(r[key] for r in repeats for key in ("partitions_equal", "histories_equal", "ties_equal")):
+        sys.stderr.write("FATAL: accelerated and naive runs differ (partition, history or ties)\n")
         return EXIT_INVARIANT
     return EXIT_OK
 

@@ -155,10 +155,12 @@ class GbConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("min_points", "split_k", "max_depth"):
+        for name in ("min_points", "split_k", "max_depth", "seed"):
             object.__setattr__(self, name, _integer(getattr(self, name), name))
-        if not (0.0 < self.purity_threshold <= 1.0):
-            raise ValueError("purity_threshold must be in (0, 1]")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if isinstance(self.purity_threshold, (bool, np.bool_)) or not (0.0 < self.purity_threshold <= 1.0):
+            raise ValueError(f"purity_threshold must be in (0, 1], got {self.purity_threshold!r}")
         if self.min_points < 1:
             raise ValueError("min_points must be positive")
         if self.split_k < 2:
@@ -419,7 +421,7 @@ def classify(balls: Sequence[GranularBall], x, distance: DistanceFn = None) -> i
         raise ValueError("points must have finite coordinates")
     fn = distance if distance is not None else euclidean()
     win = np.empty(len(pts), dtype=np.intp)
-    for rows in _blocks(len(pts), 8 * centers.size):  # the chunks of _pairwise: one kernel call each
+    for rows in _blocks(len(pts), 8 * centers.size):  # the chunks of _pairwise's repeated rows: one kernel call each
         score = _pairwise(fn, pts[rows], centers) - radii
         # the least labeled score, NaN ranking last; a point whose labeled scores are all NaN ties them all
         best = labeled & (score == np.fmin.reduce(score, axis=1, keepdims=True, where=labeled, initial=np.inf))

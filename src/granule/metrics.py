@@ -65,9 +65,9 @@ class DistanceFn:
     ``rows``, when present, is a vectorized form mapping a (m, d) matrix and a
     (d,) or (m, d) ``v`` to the (m,) row distances, row i against ``v`` or
     ``v[i]``; it must agree bit-for-bit with ``eval`` applied row by row.  The
-    named kernels reduce rows of at most 8 coordinates one column at a time,
-    in numpy's own order (``_row_reduce``): ``rows`` still equals ``eval`` bit
-    for bit, and the result does not depend on the operands' memory layout.
+    named kernels' ``rows`` is a ``_Kernel``: it reduces rows of at most 8
+    coordinates one column at a time in numpy's own order, so it equals ``eval``
+    bit for bit, and builds large all-pairs matrices in coordinate-major blocks.
     """
 
     name: str
@@ -80,30 +80,69 @@ class DistanceFn:
         return self.eval(a, b)
 
 
-def _row_reduce(ufunc: np.ufunc, t: np.ndarray) -> np.ndarray:
-    """``ufunc.reduce`` over the rows of a C-ordered copy of the (m, d) ``t``, bit for bit (a row where two
-    different nans meet is nan, either one).  Up to d = 8 coordinates of float64 it goes one (m,) column at a
-    time in numpy's own order, far faster than numpy's per-row loop over a short axis: from the identity (+0.0
-    for a sum), left to right below 8, numpy's 8-accumulator tree at 8."""
-    d = t.shape[1]
-    if t.dtype != np.float64 or not 1 <= d <= 8:
-        return ufunc.reduce(np.ascontiguousarray(t), axis=1)
-    cols = [t[:, j] for j in range(d)]
+def _fold(ufunc: np.ufunc, cols: list, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """The elementwise ``ufunc`` reduce of the equal-shape float64 arrays ``cols``, as numpy reduces a row of
+    len(cols) <= 8 coordinates: from the identity (+0.0 for a sum), left to right below 8, numpy's 8-accumulator
+    tree at 8.  Given ``out``, a sum works in ``out`` and in ``cols[2::2]``, else in fresh arrays."""
+    d = len(cols)
     if ufunc.identity is not None:
-        cols[0] = ufunc(cols[0], ufunc.identity)
+        cols = [ufunc(cols[0], ufunc.identity, out=out), *cols[1:]]
     else:  # numpy's maximum of a row that starts at a nan is the plain nan
-        cols[0] = np.where((d > 1) & np.isnan(cols[0]), np.nan, cols[0])
+        cols = [np.where((d > 1) & np.isnan(cols[0]), np.nan, cols[0]), *cols[1:]]
     if d == 8:  # ((c0 + c1) + (c2 + c3)) + ((c4 + c5) + (c6 + c7))
         while len(cols) > 1:
-            cols = [ufunc(a, b) for a, b in zip(cols[::2], cols[1::2])]
+            cols = [ufunc(a, b, out=None if out is None else a) for a, b in zip(cols[::2], cols[1::2])]
     for col in cols[1:]:
         ufunc(cols[0], col, out=cols[0])
     return cols[0]
 
 
-def _sqeuclidean_rows(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    diff = m - v
-    return _row_reduce(np.add, diff * diff)
+def _row_reduce(ufunc: np.ufunc, t: np.ndarray) -> np.ndarray:
+    """``ufunc.reduce`` over the rows of a C-ordered copy of the (m, d) ``t``, bit for bit (a row where two different
+    nans meet is nan, either one); far faster up to d = 8 float64 coordinates, where it ``_fold``s the columns."""
+    if t.dtype != np.float64 or not 1 <= t.shape[1] <= 8:
+        return ufunc.reduce(np.ascontiguousarray(t), axis=1)
+    return _fold(ufunc, list(t.T))
+
+
+@dataclass(frozen=True)
+class _Kernel:
+    """A named row kernel: ``reduce`` over the per-coordinate ``term`` (a ufunc-like with ``out=``) of m - v,
+    then ``finish``.  Called, it is the ``rows`` of its distance; ``pairs`` builds all-pairs blocks."""
+
+    term: Callable
+    reduce: np.ufunc
+    finish: Optional[np.ufunc] = None
+
+    def __call__(self, m: np.ndarray, v: np.ndarray) -> np.ndarray:
+        t = m - v  # a float64 difference takes its term in place: no second (m, d) array
+        r = _row_reduce(self.reduce, self.term(t, out=t if t.dtype == np.float64 else None))
+        return r if self.finish is None else self.finish(r)
+
+    def pairs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The (len(a), len(b)) matrix of ``self(a_i, b_j)``, bit for bit, for float64 rows of 1-8 coordinates.
+        A block of a's rows becomes d coordinate rows, whose (len(b), rows) differences and terms go into one
+        buffer reused across blocks: a quarter of ``_CHUNK_ENTRIES`` coordinates, so that it stays in cache."""
+        d, blocks = a.shape[1], _blocks(len(a), 4 * a.shape[1] * len(b))
+        bt = np.ascontiguousarray(b.T)[:, :, None]
+        buf = np.empty((d, len(b), min(blocks[0].stop, len(a))))
+        out = np.empty((len(a), len(b)))
+        for rows in blocks:
+            t = buf[:, :, : len(out[rows])]
+            np.subtract(np.ascontiguousarray(a[rows].T)[:, None, :], bt, out=t)
+            self.term(t, out=t)
+            acc = _fold(self.reduce, list(t), out=t[0])
+            if self.finish is not None:
+                self.finish(acc, out=acc)
+            out[rows] = acc.T
+        return out
+
+
+def _square(t: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    return np.multiply(t, t, out=out)
+
+
+_sqeuclidean_rows = _Kernel(_square, np.add)
 
 
 def euclidean() -> DistanceFn:
@@ -111,7 +150,7 @@ def euclidean() -> DistanceFn:
         name="euclidean",
         eval=lambda a, b: float(math.sqrt(np.sum((a - b) * (a - b)))),
         declared_kind=Kind.METRIC,
-        rows=lambda m, v: np.sqrt(_sqeuclidean_rows(m, v)),
+        rows=_Kernel(_square, np.add, np.sqrt),
     )
 
 
@@ -130,7 +169,7 @@ def manhattan() -> DistanceFn:
         name="manhattan",
         eval=lambda a, b: float(np.sum(np.abs(a - b))),
         declared_kind=Kind.METRIC,
-        rows=lambda m, v: _row_reduce(np.add, np.abs(m - v)),
+        rows=_Kernel(np.abs, np.add),
     )
 
 
@@ -139,7 +178,7 @@ def chebyshev() -> DistanceFn:
         name="chebyshev",
         eval=lambda a, b: float(np.max(np.abs(a - b))),
         declared_kind=Kind.METRIC,
-        rows=lambda m, v: _row_reduce(np.maximum, np.abs(m - v)),
+        rows=_Kernel(np.abs, np.maximum),
     )
 
 
@@ -153,7 +192,7 @@ def forward_gap() -> DistanceFn:
         name="forward-gap",
         eval=lambda a, b: float(np.sum(np.maximum(a - b, 0.0))),
         declared_kind=Kind.QUASIMETRIC,
-        rows=lambda m, v: _row_reduce(np.add, np.maximum(m - v, 0.0)),
+        rows=_Kernel(lambda t, out=None: np.maximum(t, 0.0, out=out), np.add),
     )
 
 
@@ -207,6 +246,8 @@ def _as_point(p) -> np.ndarray:
 
 # about this many cases per block of a first-violation scan
 _CHUNK_ENTRIES = 1 << 18
+# fewest pairs for which _Kernel.pairs beats repeated rows (BENCH_30.json's kernel table)
+_BLOCK_PAIRS = 1 << 11
 
 
 def _blocks(n: int, per_row: int) -> list[slice]:
@@ -216,9 +257,13 @@ def _blocks(n: int, per_row: int) -> list[slice]:
 
 
 def _pairwise(fn: DistanceFn, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The (len(a), len(b)) matrix of fn(a_i, b_j), the one all-pairs builder: one row-kernel call per chunk
-    of a's rows, row p len(b) + j pairing its point p with b_j.  A chunk's operands and temporaries (up to
-    eight arrays of the repeated rows' size) together hold about ``_CHUNK_ENTRIES`` coordinates, in cache."""
+    """The (len(a), len(b)) matrix of fn(a_i, b_j), the one all-pairs builder: ``_Kernel.pairs`` for a named
+    kernel on ``_BLOCK_PAIRS`` or more float64 pairs of 1-8 coordinates, else (eval-only or wrapped ``rows``,
+    other rows, fewer pairs) one row-kernel call per chunk of a's rows, row p len(b) + j pairing its point p
+    with b_j, the chunk's temporaries (up to eight arrays of its size) about ``_CHUNK_ENTRIES`` coordinates."""
+    fast = a.dtype == b.dtype == np.float64 and a.ndim == b.ndim == 2 and 1 <= a.shape[1] == b.shape[1] <= 8
+    if isinstance(fn.rows, _Kernel) and fast and len(a) * len(b) >= _BLOCK_PAIRS:
+        return fn.rows.pairs(a, b)
     pairs = lambda c: row_distances(fn, c.repeat(len(b), axis=0), np.tile(b, (len(c), 1))).reshape(len(c), -1)
     blocks = _blocks(len(a), 8 * b.size)
     if len(blocks) == 1:

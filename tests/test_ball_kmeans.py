@@ -145,16 +145,22 @@ class TestInit:
             BkmConfig(k=2, max_iter=0)
 
     @pytest.mark.parametrize(
-        "field, value", [("k", 2.5), ("k", True), ("k", "2"), ("max_iter", 9.9), ("max_iter", np.True_)]
+        "field, value",
+        [("k", 2.5), ("k", True), ("k", "2"), ("max_iter", 9.9), ("max_iter", np.True_), ("seed", 0.5), ("seed", True)],
     )
     def test_non_integral_config_refused(self, field, value):
-        # a truncated k or max_iter, or k=True (one cluster), would run silently
+        # a truncated k or max_iter, or k=True (one cluster), would run silently; seed=True ran as seed 1
         with pytest.raises(ConfigError, match=f"{field} must be an integer, got {value!r}"):
             BkmConfig(**{"k": 2, field: value})
 
+    def test_negative_seed_refused(self):
+        with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
+            BkmConfig(k=2, seed=-1)
+
     def test_integral_config_values_become_ints(self):
-        cfg = BkmConfig(k=np.int64(3), max_iter=5.0)
-        assert (cfg.k, cfg.max_iter) == (3, 5) and type(cfg.k) is int and type(cfg.max_iter) is int
+        cfg = BkmConfig(k=np.int64(3), max_iter=5.0, seed=np.uint32(7))
+        assert (cfg.k, cfg.max_iter, cfg.seed) == (3, 5, 7)
+        assert [type(v) for v in (cfg.k, cfg.max_iter, cfg.seed)] == [int] * 3
 
 
 class TestGeometry:

@@ -15,8 +15,11 @@ import numpy as np
 import pytest
 
 import granule
+from granule import cli
+from granule.ball_kmeans import lloyd_run
 from granule.cli import (
     EXIT_INGEST,
+    EXIT_INVARIANT,
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFY,
@@ -364,6 +367,25 @@ class TestCommands:
         assert len(report["repeats"]) == 2
         assert report["repeats"][0] == report["repeats"][1]
         assert "timing" not in report
+        exact = {"histories_equal": True, "first_differing_iteration": None, "ties_equal": True}
+        assert {key: report["repeats"][0][key] for key in exact} == exact
+
+    def test_bench_names_the_first_differing_iteration(self, blob_csv, tmp_path, monkeypatch, capsys):
+        # the naive side's second iteration moved point 0 elsewhere: the partitions may still agree
+        def skewed(ds, cfg, record_history=False):
+            clustering, stats = lloyd_run(ds, cfg, record_history=record_history)
+            clustering.history[2] = clustering.history[2].copy()
+            clustering.history[2][0] = 1 - clustering.history[2][0]
+            return clustering, stats
+
+        monkeypatch.setattr(cli, "lloyd_run", skewed)
+        code, raw = run_to_file(
+            ["bench", "--input", blob_csv, "--labels", "class", "--k", "2", "--seed", "3"], tmp_path / "b.json"
+        )
+        assert code == EXIT_INVARIANT
+        repeat = json.loads(raw)["repeats"][0]
+        assert (repeat["histories_equal"], repeat["first_differing_iteration"]) == (False, 2)
+        assert "runs differ" in capsys.readouterr().err
 
     def test_gb(self, blob_csv, tmp_path):
         code, raw = run_to_file(
@@ -609,6 +631,11 @@ class TestFlagRefusals:
         assert not out.exists()
         assert main(["verify-metric", "--input", path, "--max-sample", "0", "--out", str(out)]) == EXIT_OK
         assert json.loads(out.read_bytes())["sample_size"] == 2  # 0 means no cap
+
+    def test_negative_seed_refused(self, tmp_path, capsys):
+        path = write_csv(tmp_path / "d.csv", [[0, 0], [1, 1]])
+        assert main(["cluster", "--input", path, "--k", "1", "--seed", "-1"]) == EXIT_USAGE
+        assert "seed must be non-negative, got -1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("tol", ["-1", "nan"])
     def test_tol_outside_finite_nonnegative_refused(self, tmp_path, tol):

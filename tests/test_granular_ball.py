@@ -303,16 +303,25 @@ class TestGenerate:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("min_points", 1.5), ("min_points", True), ("split_k", 2.5), ("split_k", "3"), ("max_depth", 4.2), ("max_depth", np.True_)],
+        [
+            ("min_points", 1.5), ("min_points", True), ("split_k", 2.5), ("split_k", "3"), ("max_depth", 4.2),
+            ("max_depth", np.True_), ("seed", 0.5), ("seed", True),
+        ],
     )
     def test_non_integral_config_refused(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
             GbConfig(0.9, **{field: value})
 
+    def test_negative_seed_and_bool_purity_refused(self):
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            GbConfig(0.9, seed=-1)
+        with pytest.raises(ValueError, match=r"purity_threshold must be in \(0, 1\], got True"):
+            GbConfig(True)  # was accepted as 1.0
+
     def test_integral_config_values_become_ints(self):
-        cfg = GbConfig(0.9, min_points=np.int64(2), split_k=3.0, max_depth=np.uint8(5))
-        assert [type(v) for v in (cfg.min_points, cfg.split_k, cfg.max_depth)] == [int] * 3
-        assert (cfg.min_points, cfg.split_k, cfg.max_depth) == (2, 3, 5)
+        cfg = GbConfig(0.9, min_points=np.int64(2), split_k=3.0, max_depth=np.uint8(5), seed=4.0)
+        assert [type(v) for v in (cfg.min_points, cfg.split_k, cfg.max_depth, cfg.seed)] == [int] * 4
+        assert (cfg.min_points, cfg.split_k, cfg.max_depth, cfg.seed) == (2, 3, 5, 4)
 
 
 class TestOverlap:

@@ -304,6 +304,66 @@ class TestPairwise:
             ref = np.array([[fn.eval(p, q) for q in grid[:5]] for p in grid])
             assert metrics._pairwise(fn, grid, grid[:5]).tobytes() == ref.tobytes()
 
+    @pytest.mark.parametrize("name", sorted(NAMED_DISTANCES))
+    def test_blocks_equal_repeated_rows_bit_for_bit(self, name, monkeypatch):
+        # the reference is the repeat/tile path, forced by a plain-function rows; the cutoff is lifted so that
+        # every shape takes the block path, and the spies count block calls and read the rows per block
+        fn = NAMED_DISTANCES[name]()
+        ref = dataclasses.replace(fn, rows=lambda m, v: fn.rows(m, v))
+        real_pairs, real_blocks, calls, slices = metrics._Kernel.pairs, metrics._blocks, [], []
+        monkeypatch.setattr(metrics._Kernel, "pairs", lambda k, a, b: calls.append(a.shape) or real_pairs(k, a, b))
+        monkeypatch.setattr(metrics, "_blocks", lambda n, per_row: slices.append(real_blocks(n, per_row)) or slices[-1])
+        monkeypatch.setattr(metrics, "_BLOCK_PAIRS", 1)
+        rng = np.random.default_rng(30)
+        nans = np.array([0x7FF8000000000002, 0xFFF8000000000001], dtype=np.uint64).view(float)  # with payloads
+        specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, *nans, 1e300, -1e300, 1e-300, 5e-324, -2.5e-310])
+
+        def points(n, d):
+            x = rng.normal(0, 1, (n, d)) * 10.0 ** rng.integers(-300, 301, (n, 1))
+            hit = rng.random((n, d)) < 0.1
+            x[hit] = rng.choice(specials, hit.sum())
+            return x
+
+        def check(a, b, blocks):
+            before = len(calls)
+            with np.errstate(all="ignore"):  # inf, nan and overflow on purpose
+                got, want = metrics._pairwise(fn, a, b), metrics._pairwise(ref, a, b)
+                # where two nans meet, in one coordinate or across coordinates, which one survives is not pinned
+                meet = (np.isnan(a[:, None, :] - b[None, :, :]).sum(axis=2) > 1) | (
+                    np.isnan(a)[:, None, :] & np.isnan(b)[None, :, :]
+                ).any(axis=2)
+            assert len(calls) == before + blocks, (a.shape, b.shape)
+            assert got.shape == want.shape == (len(a), len(b))
+            assert got[~meet].tobytes() == want[~meet].tobytes(), (a.shape, b.shape)
+            assert np.isnan(got[meet]).all() and np.isnan(want[meet]).all()
+
+        for d in [*range(1, 10), 33]:
+            blocks = int(d <= 8)  # wider rows keep the repeated-row path
+            check(points(1, d), points(1, d), blocks)
+            with np.errstate(all="ignore"):
+                metrics._pairwise(fn, points(1, d), points(152, d))
+            m = slices[-1][0].stop if blocks else 5  # rows of a per block against 152 points
+            for n, k in [(1, 152), (152, 1), (2, 2), (13, 13), (150, 150), (m - 1, 152), (m, 152), (m + 1, 152)]:
+                check(points(n, d), points(k, d), blocks)
+            a, b = points(40, d), points(30, d)
+            check(np.asfortranarray(a), b, blocks)
+            check(a, np.asfortranarray(b), blocks)
+            check(np.repeat(a, 2, axis=0)[::2], np.repeat(b, 3, axis=1)[:, ::3], blocks)  # strided operands
+            ints = rng.integers(-9, 10, (20, d))
+            check(ints, ints[:7], 0)
+            assert metrics._pairwise(fn, ints, ints[:7]).dtype == metrics._pairwise(ref, ints, ints[:7]).dtype
+
+    @pytest.mark.parametrize("name", sorted(NAMED_DISTANCES))
+    def test_wrapped_rows_are_called_for_every_pair(self, name):
+        # a replaced rows is a plain function: it sees every pair, so counting wrappers still count them all
+        log = []
+        fn = counting(NAMED_DISTANCES[name](), log)
+        a, b = np.random.default_rng(3).normal(size=(700, 8)), np.ones((30, 8))
+        assert len(a) * len(b) >= metrics._BLOCK_PAIRS
+        dmat = metrics._pairwise(fn, a, b)
+        assert sum(m for _, m in log) == 700 * 30 and all(kind == "rows" for kind, _ in log)
+        assert dmat.tobytes() == metrics._pairwise(NAMED_DISTANCES[name](), a, b).tobytes()
+
     def test_calls_follow_the_chunk_rule(self):
         log = []
         fn = counting(forward_gap(), log)
