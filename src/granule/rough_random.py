@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .ball_kmeans import BkmConfig, Dataset, _groups, run
+from .ball_kmeans import BkmConfig, Dataset, _groups, _integer, run
 from .existential import BudgetError, _block_images, _unions
 from .metrics import _first_true
 
@@ -42,20 +42,20 @@ __all__ = [
     "bkm_crrf3_trace",
 ]
 
-EXHAUSTIVE_LIMIT = 12
+EXHAUSTIVE_LIMIT = 14
 
 
 @dataclass
 class ApproxSpace:
     """Finite universe with lower and upper approximation maps on subsets.
 
-    A :func:`pawlak_space` also keeps its (k, n) block table, which the checks read in place of the maps.
+    A :func:`pawlak_space` also keeps its blocks and their (k, n) table, which the checks read in place of the maps.
     """
 
     universe: tuple
     lower: Callable[[frozenset], frozenset]
     upper: Callable[[frozenset], frozenset]
-    blocks: Optional[tuple] = None  # set when induced by a partition
+    blocks: Optional[tuple] = field(default=None, init=False)  # set by pawlak_space
     _table: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -86,8 +86,8 @@ def pawlak_space(universe: Sequence, blocks: Sequence[Sequence]) -> ApproxSpace:
 
     table = np.array([[el in b for el in uni] for b in bl], dtype=bool).reshape(len(bl), len(uni))
     images = lambda x: _block_images(table, np.array([[el in x for el in uni]], dtype=bool))[:, 0]
-    space = ApproxSpace(uni, lambda x: _subset(uni, images(x)[0]), lambda x: _subset(uni, images(x)[1]), bl)
-    space._table = table
+    space = ApproxSpace(uni, lambda x: _subset(uni, images(x)[0]), lambda x: _subset(uni, images(x)[1]))
+    space.blocks, space._table = bl, table
     return space
 
 
@@ -114,39 +114,44 @@ def _images(space: ApproxSpace, rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _mask_table(space: ApproxSpace, limit: int) -> tuple[list, np.ndarray, np.ndarray]:
-    """Every subset with its approximation masks.
+def _mask_table(space: ApproxSpace) -> np.ndarray:
+    """The (2, 2^n) masks ``lo[m]``, ``up[m]`` of the lower and upper approximations of the subset with mask m.
 
-    The mask of a subset is its 0/1 row packed, bit i standing for
-    ``universe[i]``; ``subsets[m]`` is the subset with mask m, and ``lo[m]``,
-    ``up[m]`` are the masks of its lower and upper approximations.
+    The mask of a subset is its 0/1 row packed, bit i standing for ``universe[i]``.
     """
-    uni = space.universe
-    if len(uni) > limit:
-        raise BudgetError(f"universe of size {len(uni)} exceeds the exhaustion limit {limit}")
-    bits = 1 << np.arange(len(uni), dtype=np.int64)
-    lo, up = _images(space, (np.arange(1 << len(uni))[:, None] & bits) != 0) @ bits
-    return _unions([{el} for el in uni]), lo, up
+    n = len(space.universe)
+    if n > EXHAUSTIVE_LIMIT:
+        raise BudgetError(f"universe of size {n} exceeds the exhaustion limit {EXHAUSTIVE_LIMIT}")
+    bits = 1 << np.arange(n, dtype=np.int64)
+    return _images(space, (np.arange(1 << n)[:, None] & bits) != 0) @ bits
 
 
-def _nested_pairs(universe: Sequence) -> tuple[np.ndarray, np.ndarray]:
-    """Mask arrays (a, b) of all 3^n pairs a <= b, in the exhaustive check order.
+def _subsets(universe: tuple, masks) -> list[frozenset]:
+    """The subsets with these masks."""
+    rows = np.asarray(masks, dtype=np.int64).reshape(-1, 1) >> np.arange(len(universe)) & 1
+    return [_subset(universe, row) for row in rows.tolist()]
 
-    b runs in mask order; within b, bit i of the submask index picks the i-th
-    smallest element of b, so a runs in the submask order over ``sorted(b)``.
+
+def _monotone(universe: tuple, img: np.ndarray) -> tuple:
+    """Whether a <= b implies img[a] <= img[b] over every mask pair, with the first failing (a, b).
+
+    One OR pass per element gives, for every b at once, the union of the images of b's submasks
+    (the subset-sum transform).  b runs in mask order; within b, bit i of the submask index picks
+    the i-th smallest element of b.
     """
-    n = len(universe)
-    bs = np.arange(1 << n, dtype=np.int64)
-    count = 1 << sum((bs >> p) & 1 for p in range(n))
-    b = np.repeat(bs, count)
-    j = np.arange(b.size, dtype=np.int64) - np.repeat(np.cumsum(count) - count, count)
-    a = np.zeros_like(b)
-    taken = np.zeros_like(b)
-    for p in sorted(range(n), key=universe.__getitem__):
-        inb = (b >> p) & 1
-        a |= ((j >> taken) & inb) << p
-        taken += inb
-    return a, b
+    below = img.copy()
+    for p in range(len(universe)):
+        half = below.reshape(-1, 2, 1 << p)
+        half[:, 1] |= half[:, 0]
+    idx, _ = _first_true(below & ~img != 0)
+    if idx is None:
+        return True, None
+    b = idx[0]
+    members = [p for p in sorted(range(len(universe)), key=universe.__getitem__) if b >> p & 1]
+    j = np.arange(1 << len(members))
+    a = sum((j >> i & 1) << p for i, p in enumerate(members))
+    (i,), _ = _first_true(img[a] & ~img[b] != 0)
+    return False, tuple(_subsets(universe, (a[i], b)))
 
 
 @dataclass
@@ -164,24 +169,20 @@ class SpaceAxiomReport:
         return sorted(name for name, (passed, _) in self.results.items() if not passed)
 
 
-def check_approx_axioms(
-    space: ApproxSpace,
-    *,
-    exhaustive_limit: int = EXHAUSTIVE_LIMIT,
-    samples: int = 512,
-    seed: int = 0,
-) -> SpaceAxiomReport:
+def check_approx_axioms(space: ApproxSpace, *, samples: int = 512, seed: int = 0) -> SpaceAxiomReport:
     """Verify the six minimal approximation axioms.
 
     Exhaustive over the powerset (and all nested pairs for monotonicity) up
-    to ``exhaustive_limit`` universe elements; beyond that a seeded sample of
+    to ``EXHAUSTIVE_LIMIT`` universe elements; beyond that a seeded sample of
     subset rows x and nested pairs (x & y, x) is used and the report is
     flagged as sampled.  Either way a map image outside the universe, or a
     repeated universe element, raises ValueError.
     """
+    if _integer(seed, "seed") < 0 or _integer(samples, "samples") < 1:
+        raise ValueError(f"seed must be non-negative and samples positive, got {seed!r} and {samples!r}")
     uni = space.universe
-    if len(uni) <= exhaustive_limit:
-        return SpaceAxiomReport(results=_exhaustive_axioms(space, exhaustive_limit), sampled=False)
+    if len(uni) <= EXHAUSTIVE_LIMIT:
+        return SpaceAxiomReport(results=_exhaustive_axioms(space), sampled=False)
     x, y = np.random.default_rng(seed).integers(0, 2, size=(2, samples, len(uni))) != 0
     a = x & y
     ends = np.repeat([[False], [True]], len(uni), axis=1)  # the empty set and the universe
@@ -189,7 +190,7 @@ def check_approx_axioms(
     lo_x, up_x, lo_a, up_a = lo[:samples], up[:samples], lo[samples:-2], up[samples:-2]
 
     def first(violated: np.ndarray, *rows: np.ndarray) -> tuple:
-        idx, _ = _first_true(violated.any(axis=1)) if len(violated) else (None, 0)
+        idx, _ = _first_true(violated.any(axis=1))
         return (True, None) if idx is None else (False, tuple(_subset(uni, r[idx[0]]) for r in rows))
 
     results = {
@@ -203,42 +204,40 @@ def check_approx_axioms(
     return SpaceAxiomReport(results=results, sampled=True)
 
 
-def _exhaustive_axioms(space: ApproxSpace, limit: int) -> dict:
+def _exhaustive_axioms(space: ApproxSpace) -> dict:
     """The six axioms over every subset and nested pair, as mask-table tests.
 
     Each witness is the first violation: subsets in mask order, pairs in the
-    order of :func:`_nested_pairs`.
+    order of :func:`_monotone`.
     """
-    subsets, lo, up = _mask_table(space, limit)
-    a, b = _nested_pairs(space.universe)
+    uni = space.universe
+    lo, up = _mask_table(space)
 
-    def first(violated: np.ndarray, *masks: np.ndarray) -> tuple:
+    def first(violated: np.ndarray) -> tuple:
         idx, _ = _first_true(violated)
-        return (True, None) if idx is None else (False, tuple(subsets[m[idx[0]]] for m in masks))
+        return (True, None) if idx is None else (False, tuple(_subsets(uni, idx)))
 
-    every = np.arange(len(subsets))
     return {
-        "int-cl": first(lo & ~up != 0, every),
-        "l-id": first(lo[lo] & ~lo != 0, every),
-        "l-mo": first(lo[a] & ~lo[b] != 0, a, b),
-        "u-mo": first(up[a] & ~up[b] != 0, a, b),
-        "l-bot": (True, None) if lo[0] == 0 else (False, (subsets[0],)),
-        "u-top": (True, None) if up[-1] == every[-1] else (False, (subsets[-1],)),
+        "int-cl": first(lo & ~up != 0),
+        "l-id": first(lo[lo] & ~lo != 0),
+        "l-mo": _monotone(uni, lo),
+        "u-mo": _monotone(uni, up),
+        "l-bot": first(lo[:1] != 0),
+        "u-top": (True, None) if up[-1] == len(up) - 1 else (False, (frozenset(uni),)),
     }
 
 
-def approximation_set(space: ApproxSpace, *, exhaustive_limit: int = 14) -> list[frozenset]:
+def approximation_set(space: ApproxSpace) -> list[frozenset]:
     """All lower and upper approximation images, in mask order.
 
     For a partition-induced space these are the unions of its blocks, at any
     universe size, unless they would hold more than 2^24 members in total;
-    any other space is exhausted up to ``exhaustive_limit`` elements.  Past
+    any other space is exhausted up to ``EXHAUSTIVE_LIMIT`` elements.  Past
     either bound, BudgetError.
     """
     uni, blocks = space.universe, space.blocks
     if blocks is None:
-        subsets, lo, up = _mask_table(space, exhaustive_limit)
-        return [subsets[m] for m in np.unique(np.concatenate((lo, up)))]
+        return _subsets(uni, np.unique(np.concatenate(_mask_table(space))))
     pos = {el: i for i, el in enumerate(uni)}
     if len(pos) != len(uni):
         raise ValueError("universe has repeated elements")
@@ -260,26 +259,24 @@ class RoughPair:
         return self.lower_part <= self.upper_part
 
 
-def e1_pairs(space: ApproxSpace, *, exhaustive_limit: int = 14) -> list[RoughPair]:
+def e1_pairs(space: ApproxSpace) -> list[RoughPair]:
     """The rough pairs (x^l, x^u) over all subsets, deduplicated, canonical order."""
-    subsets, lo, up = _mask_table(space, exhaustive_limit)
-    n = len(space.universe)
-    return [
-        RoughPair(lower_part=subsets[key >> n], upper_part=subsets[key & ((1 << n) - 1)])
-        for key in np.unique(lo << n | up)
-    ]
+    lo, up = _mask_table(space)
+    uni, n = space.universe, len(space.universe)
+    keys = np.unique(lo << n | up)
+    return [RoughPair(*pair) for pair in zip(_subsets(uni, keys >> n), _subsets(uni, keys & (len(lo) - 1)))]
 
 
-def f_objects(space: ApproxSpace, *, exhaustive_limit: int = 14) -> list[frozenset]:
+def f_objects(space: ApproxSpace) -> list[frozenset]:
     """Subsets that are not an approximation of anything (the non-definable leftovers)."""
-    subsets, lo, up = _mask_table(space, exhaustive_limit)
-    return [subsets[m] for m in np.setdiff1d(np.arange(len(subsets)), np.concatenate((lo, up)))]
+    lo, up = _mask_table(space)
+    return _subsets(space.universe, np.setdiff1d(np.arange(len(lo)), np.concatenate((lo, up))))
 
 
-def e2_objects(space: ApproxSpace, *, exhaustive_limit: int = 14) -> list[frozenset]:
+def e2_objects(space: ApproxSpace) -> list[frozenset]:
     """Upper-closed subsets: x with x^u = x."""
-    subsets, _, up = _mask_table(space, exhaustive_limit)
-    return [subsets[m] for m in np.flatnonzero(up == np.arange(len(subsets)))]
+    _, up = _mask_table(space)
+    return _subsets(space.universe, np.flatnonzero(up == np.arange(len(up))))
 
 
 class CrrfKind(enum.Enum):

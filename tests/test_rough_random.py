@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -119,10 +121,10 @@ def loop_e2_objects(space):
     )
 
 
-def perturbed_space(rng):
+def perturbed_space(rng, sizes=(1, 7)):
     """A partition space over an unsorted universe with a few map entries overwritten."""
-    n = int(rng.integers(1, 7))
-    uni = tuple(int(v) for v in rng.permutation(9)[:n])
+    n = int(rng.integers(*sizes))
+    uni = tuple(int(v) for v in rng.permutation(max(9, n))[:n])
     labels = rng.integers(0, n, n)
     blocks = [[u for u, lab in zip(uni, labels) if lab == c] for c in np.unique(labels)]
     pawlak = pawlak_space(uni, blocks)
@@ -149,16 +151,16 @@ class TestAxioms:
         assert a < b  # witness pair is a strict nesting
 
     def test_large_universe_falls_back_to_sampling(self):
-        rep = check_approx_axioms(identity_space(range(16)), exhaustive_limit=8)
+        rep = check_approx_axioms(identity_space(range(16)))
         assert rep.sampled and rep.ok
 
-    @pytest.mark.parametrize("size", [5, 13])
+    @pytest.mark.parametrize("size", [5, 13, 15])
     def test_universe_of_tuples(self, size):
         # lattice points: a sampled run must not turn the members into an array axis
         uni = tuple((i, i + 1) for i in range(size))
         for space in (ApproxSpace(uni, lambda x: x, lambda x: x), pawlak_space(uni, [uni[:2], uni[2:]])):
             rep = check_approx_axioms(space)
-            assert rep.ok and rep.sampled == (size > 12)
+            assert rep.ok and rep.sampled == (size > 14)
 
     @settings(max_examples=20)
     @given(st.integers(0, 10**6))
@@ -201,6 +203,57 @@ class TestMaskTable:
             assert e2_objects(space) == loop_e2_objects(space)
         assert all(failures.values()), failures
 
+    def test_matches_frozenset_loops_past_six_elements(self):
+        # the union pass makes one OR pass per element: check it where there are many
+        rng = np.random.default_rng(31)
+        failures = {"l-mo": 0, "u-mo": 0}
+        for size in (7, 8, 9, 10, 7, 8, 9, 10):
+            space = perturbed_space(rng, (size, size + 1))
+            rep = check_approx_axioms(space)
+            assert list(rep.results.items()) == list(loop_check_approx_axioms(space).items())
+            for name in failures:
+                failures[name] += name in rep.failed()
+        assert all(failures.values()), failures
+
+    def test_fourteen_elements_are_exhausted(self):
+        # a planted u-mo violation: {13} maps onto {0, 13}, which {12, 13} does not cover;
+        # 13 sits at bit 0 and 12 at bit 1, so {12, 13} is the first superset of {13} to miss 0
+        uni = tuple(range(13, -1, -1))
+        plant = frozenset({13})
+        space = ApproxSpace(uni, lambda x: x, lambda x: x | {0} if x == plant else x)
+        rep = check_approx_axioms(space)
+        assert not rep.sampled and rep.failed() == ["u-mo"]
+        assert rep.results["u-mo"] == (False, (plant, frozenset({12, 13})))
+
+    def test_mixed_type_universe_sorts_only_for_a_witness(self):
+        uni = (1, "a", (2, 3))
+        assert check_approx_axioms(identity_space(uni)).ok
+        assert check_approx_axioms(pawlak_space(uni, [uni[:1], uni[1:]])).ok
+        full = frozenset(uni)
+        broken = ApproxSpace(uni, lambda x: frozenset() if x == full else x, lambda x: x)
+        with pytest.raises(TypeError):  # the witness order of l-mo needs sorted elements
+            check_approx_axioms(broken)
+
+    def test_exhaustive_check_in_bounded_memory(self):
+        # a mask table and one union pass per map: no list of the 3^14 nested pairs or 2^14 frozensets
+        space = pawlak_space(range(14), [range(i, 14, 5) for i in range(5)])
+        tracemalloc.start()
+        try:
+            rep = check_approx_axioms(space)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.ok and not rep.sampled
+        assert peak < 32 * 2**20
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"seed": 0.5}, {"seed": -1}, {"seed": True}, {"samples": -1}, {"samples": 0}, {"samples": 2.0j}]
+    )
+    def test_bad_seed_or_samples_is_refused(self, kwargs):
+        for size in (3, 16):
+            with pytest.raises(ValueError, match="seed|samples"):
+                check_approx_axioms(identity_space(range(size)), **kwargs)
+
     def test_monotonicity_witness_follows_sorted_submask_order(self):
         # over (3, 1, 2) the first bad a below the full set is {1} in sorted
         # order, but {3} in mask order
@@ -224,20 +277,21 @@ class TestMaskTable:
 
         space.approx = space.lower = space.upper = spy
         rep = check_approx_axioms(space)
-        assert rep.ok and rep.sampled == (size > 12)
+        assert rep.ok and rep.sampled == (size > 14)
         assert len(approximation_set(space)) == 8
         if size <= 14:
             assert (len(e1_pairs(space)), len(f_objects(space)), len(e2_objects(space))) == (18, 56, 8)
 
     @pytest.mark.parametrize("limit, calls", [(12, 2**6), (5, 3 * 40 + 2)])
-    def test_direct_space_maps_called_once_per_subset_or_row(self, limit, calls):
+    def test_direct_space_maps_called_once_per_subset_or_row(self, limit, calls, monkeypatch):
+        monkeypatch.setattr(rough_random, "EXHAUSTIVE_LIMIT", limit)
         counts = {"lower": 0, "upper": 0}
 
         def counted(name):
             return lambda x: counts.__setitem__(name, counts[name] + 1) or x
 
         space = ApproxSpace(universe=range(6), lower=counted("lower"), upper=counted("upper"))
-        rep = check_approx_axioms(space, exhaustive_limit=limit, samples=40)
+        rep = check_approx_axioms(space, samples=40)
         assert rep.ok and rep.sampled == (limit < 6)
         assert counts == {"lower": calls, "upper": calls}
 
@@ -253,16 +307,18 @@ class TestMaskTable:
         with pytest.raises(ValueError, match=r"upper of \{2\} returns \{7\} outside the universe"):
             enumerate_(space)
 
-    def test_sampled_check_refuses_out_of_universe_image(self):
+    def test_sampled_check_refuses_out_of_universe_image(self, monkeypatch):
+        monkeypatch.setattr(rough_random, "EXHAUSTIVE_LIMIT", 1)
         space = ApproxSpace(universe=(1, 2), lower=lambda x: x, upper=lambda x: x | {7} if 2 in x else x)
         with pytest.raises(ValueError, match=r"returns \{7\} outside the universe"):
-            check_approx_axioms(space, exhaustive_limit=1)
+            check_approx_axioms(space)
 
     @pytest.mark.parametrize("limit", [12, 1])
-    def test_repeated_universe_elements_are_refused(self, limit):
+    def test_repeated_universe_elements_are_refused(self, limit, monkeypatch):
+        monkeypatch.setattr(rough_random, "EXHAUSTIVE_LIMIT", limit)
         for space in (pawlak_space([1, 1, 2], [[1], [2]]), identity_space([1, 1, 2])):
             with pytest.raises(ValueError, match="repeated"):
-                check_approx_axioms(space, exhaustive_limit=limit)
+                check_approx_axioms(space)
 
 
 class TestApproximationSet:
@@ -286,14 +342,14 @@ class TestApproximationSet:
     def test_partition_fallback_beyond_limit(self):
         blocks = [[i, i + 1] for i in range(0, 20, 2)]
         space = pawlak_space(range(20), blocks)
-        out = approximation_set(space, exhaustive_limit=10)
+        out = approximation_set(space)
         assert len(out) == 2**10
 
     def test_partition_fallback_follows_universe_mask_order(self):
         universe = [9, 4, 7, 1, 8, 2, 6]
         blocks = [[4, 2], [9], [8, 1, 6], [7]]
         space = pawlak_space(universe, blocks)
-        out = approximation_set(space, exhaustive_limit=3)
+        out = approximation_set(space)
         mask = lambda x: sum(1 << universe.index(el) for el in x)
         unions = {frozenset(el for b in range(4) if m >> b & 1 for el in blocks[b]) for m in range(16)}
         assert out == sorted(unions, key=mask)
@@ -318,9 +374,16 @@ class TestApproximationSet:
             approximation_set(refused)
         assert built == [14]
 
+    def test_blocks_come_only_from_pawlak_space(self):
+        # a constructor-given block list would be believed over the maps
+        with pytest.raises(TypeError):
+            ApproxSpace((1, 2, 3), lambda x: x, lambda x: x, blocks=({1, 2}, {2, 3}))
+        assert identity_space([1, 2, 3]).blocks is None
+        assert pawlak_space([1, 2, 3], [[1, 2], [3]]).blocks == (frozenset({1, 2}), frozenset({3}))
+
     def test_budget_error_for_opaque_large_space(self):
         with pytest.raises(BudgetError):
-            approximation_set(identity_space(range(20)), exhaustive_limit=10)
+            approximation_set(identity_space(range(20)))
 
 
 class TestRoughObjects:
