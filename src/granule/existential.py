@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .ball_kmeans import Dataset
+from .ball_kmeans import Dataset, _integer
 from .metrics import DistanceFn, _blocks, _first_true, euclidean, row_distances
 
 __all__ = [
@@ -45,6 +45,7 @@ __all__ = [
 ]
 
 UNDEFINED = -1
+EGGS_LIMIT = 20  # check_eggs iterates the 2^|top| subsets of top up to this many elements
 
 
 class StructureError(ValueError):
@@ -381,11 +382,8 @@ def ball_refinement_operator(ds: Dataset, distance: DistanceFn = None) -> Granul
         if not e:
             return frozenset()
         idx = np.array(sorted(int(i) for i in e), dtype=int)
-        pts = ds.points[idx]
-        center = pts.mean(axis=0)
-        radius = float(row_distances(fn, pts, center).max())
-        all_d = row_distances(fn, ds.points, center)
-        return frozenset(int(i) for i in np.flatnonzero(all_d <= radius))
+        dist = row_distances(fn, ds.points, ds.points[idx].mean(axis=0))
+        return frozenset(int(i) for i in np.flatnonzero(dist <= dist[idx].max()))
 
     return GranuleOperator(name="ball-refinement", apply=apply)
 
@@ -398,6 +396,7 @@ def iterate_to_fixpoint(
     Raises :class:`DivergenceError` (carrying the trajectory) when no
     stabilization shows up within max_n applications.
     """
+    max_n = _integer(max_n, "max_n")
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
     e = frozenset(e)
@@ -420,22 +419,21 @@ def is_existential_granule(
     op: GranuleOperator,
     universe: Sequence,
     *,
-    max_subsets: int = 2**20,
     seeds: Optional[Sequence[frozenset]] = None,
-    max_n: Optional[int] = None,
 ) -> bool:
-    """True iff some subset of G stabilizes under the operator to exactly G."""
+    """True iff some subset of G stabilizes under the operator to exactly G.
+
+    A trajectory stops only at a fixed point, and a fixed point is its own
+    seed, so without ``seeds`` this is the one test op(G) = G.  Given seeds,
+    only those inside G are iterated, each for |universe| + 1 applications.
+    """
     g = frozenset(g)
-    limit = max_n if max_n is not None else max(len(universe), 1) + 1
+    if op(g) != g:
+        return False
     if seeds is None:
-        if 2 ** len(g) > max_subsets:
-            raise BudgetError(
-                f"2^{len(g)} seed subsets exceed the budget; supply candidate seeds"
-            )
-        candidates = [g] + _unions([{el} for el in sorted(g)])[:-1]
-    else:
-        candidates = [frozenset(s) for s in seeds]
-    for e in candidates:
+        return True
+    limit = max(len(universe), 1) + 1
+    for e in map(frozenset, seeds):
         if not e <= g:
             continue
         try:
@@ -459,44 +457,39 @@ class EggsReport:
         return bool(self.g1) and bool(self.g2) and not self.indeterminate
 
 
-def check_eggs(
-    sys: FinitePartialSystem,
-    op: GranuleOperator,
-    *,
-    budget: int = 2**20,
-    max_n: Optional[int] = None,
-) -> EggsReport:
+def check_eggs(sys: FinitePartialSystem, op: GranuleOperator) -> EggsReport:
     """Existential-variant conditions: flags match stabilized images, all trajectories stabilize.
 
-    Universe elements must be subsets (frozensets) of the top element; the
-    operator acts on subsets of top.  Exceeding the enumeration budget yields
-    an indeterminate report rather than a silent verdict.
+    Universe elements must be subsets (frozensets) of the top element; they
+    are checked before the operator is applied.  G2 iterates every subset of
+    top, in mask order, and its witness is the first that diverges.  Once all
+    stabilize, an element is a stabilized image iff it is a fixed point, so
+    G1 takes one application per element.  A top of more than
+    ``EGGS_LIMIT`` elements yields an indeterminate report rather than a
+    silent verdict.
     """
     base = sys.elements[sys.top]
-    if not isinstance(base, frozenset):
+    if not all(isinstance(el, frozenset) for el in sys.elements):
         raise TypeError("eggs checking needs subset-valued universe elements")
-    if 2 ** len(base) > budget:
+    for el in sys.elements:
+        if not el <= base:
+            raise StructureError(f"element {_render_element(el)} is not a subset of top")
+    if len(base) > EGGS_LIMIT:
         return EggsReport(g1=None, g2=None, indeterminate=True)
     members = sorted(base)
-    limit = max_n if max_n is not None else len(base) + 1
-    images = set()
-    for e in _unions([{m} for m in members]):
-        try:
-            _, stable = iterate_to_fixpoint(op, e, limit)
-        except DivergenceError:
-            return EggsReport(g1=None, g2=False, indeterminate=False, witness=(e,))
-        images.add(stable)
-    g1 = True
-    witness = None
-    for i, el in enumerate(sys.elements):
-        if not isinstance(el, frozenset):
-            raise TypeError("eggs checking needs subset-valued universe elements")
-        flagged = bool(sys.granules[i])
-        if flagged != (el in images):
-            g1 = False
-            witness = (el,)
-            break
-    return EggsReport(g1=g1, g2=True, indeterminate=False, witness=witness)
+    half = len(members) // 2  # mask order, holding the unions of each half of the base, not all 2^n
+    low = _unions([{m} for m in members[:half]])
+    for high in _unions([{m} for m in members[half:]]):
+        for lo in low:
+            e = lo | high
+            try:
+                iterate_to_fixpoint(op, e, len(base) + 1)
+            except DivergenceError:
+                return EggsReport(g1=None, g2=False, indeterminate=False, witness=(e,))
+    for el, flagged in zip(sys.elements, sys.granules):
+        if flagged != (op(el) == el):
+            return EggsReport(g1=False, g2=True, indeterminate=False, witness=(el,))
+    return EggsReport(g1=True, g2=True, indeterminate=False)
 
 
 def _unions(parts: Sequence) -> list[frozenset]:

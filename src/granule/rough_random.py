@@ -73,6 +73,8 @@ def _subset(universe: tuple, row) -> frozenset:
 def pawlak_space(universe: Sequence, blocks: Sequence[Sequence]) -> ApproxSpace:
     """Partition-induced space: lower/upper are unions of blocks inside/meeting x, from a (k, n) block table."""
     uni = tuple(universe)
+    if len(set(uni)) != len(uni):
+        raise ValueError("universe has repeated elements")
     bl = tuple(frozenset(b) for b in blocks)
     seen: set = set()
     for b in bl:
@@ -239,8 +241,6 @@ def approximation_set(space: ApproxSpace) -> list[frozenset]:
     if blocks is None:
         return _subsets(uni, np.unique(np.concatenate(_mask_table(space))))
     pos = {el: i for i, el in enumerate(uni)}
-    if len(pos) != len(uni):
-        raise ValueError("universe has repeated elements")
     if (len(uni) << len(blocks)) >> 1 > 1 << 24:  # each element lies in half the unions
         raise BudgetError(f"the unions of {len(blocks)} blocks over {len(uni)} elements exceed 2^24 members")
     # disjoint blocks sorted by their largest position: entry m of the unions has the m-th smallest mask

@@ -11,6 +11,7 @@ from granule.existential import (
     AxiomSuite,
     BudgetError,
     DivergenceError,
+    EggsReport,
     FinitePartialSystem,
     GranuleOperator,
     MashReport,
@@ -440,7 +441,21 @@ class TestSetHgos:
                 assert a.dtype == b.dtype and np.array_equal(a, b), (base, blocks, name)
 
 
+def counting(op):
+    """The operator with each input it is applied to appended to a list."""
+    calls = []
+    return GranuleOperator(op.name, lambda e: calls.append(e) or op(e)), calls
+
+
 class TestFixpoints:
+    @pytest.mark.parametrize("max_n", [True, 2.5, "3", None])
+    def test_non_integral_max_n_is_refused(self, max_n):
+        with pytest.raises(ValueError, match="max_n must be an integer"):
+            iterate_to_fixpoint(identity_operator(), frozenset({1}), max_n)
+
+    def test_integral_float_max_n_runs(self):
+        assert iterate_to_fixpoint(identity_operator(), frozenset({1}), 2.0) == (1, frozenset({1}))
+
     def test_identity_operator(self):
         n, g = iterate_to_fixpoint(identity_operator(), frozenset({1, 2}), 5)
         assert n == 1 and g == frozenset({1, 2})
@@ -490,10 +505,19 @@ class TestExistentialGranule:
         g = frozenset({0, 9})  # its own ball swallows every point in between
         assert not is_existential_granule(g, op, range(10))
 
-    def test_budget_error_without_seeds(self):
+    def test_large_set_decided_without_seeds(self):
         big = frozenset(range(25))
-        with pytest.raises(BudgetError):
-            is_existential_granule(big, identity_operator(), range(25), max_subsets=2**20)
+        assert is_existential_granule(big, identity_operator(), range(25))
+
+    @pytest.mark.parametrize("size", [12, 16, 100])
+    def test_one_application_without_seeds(self, size):
+        ds = Dataset(np.arange(2.0 * size).reshape(size, 2))
+        op, calls = counting(ball_refinement_operator(ds))
+        assert is_existential_granule(frozenset(range(size)), op, range(size))
+        assert len(calls) == 1
+        op, calls = counting(ball_refinement_operator(ds))
+        assert not is_existential_granule(frozenset({0, size - 1}), op, range(size))
+        assert len(calls) == 1
 
 
 class TestEggs:
@@ -533,6 +557,186 @@ class TestEggs:
         )
         with pytest.raises(TypeError):
             check_eggs(abstract, identity_operator())
+
+
+def table_system(elements, top, granules):
+    """A system over the given elements whose tables only need to be well formed."""
+    n = len(elements)
+    zeros = np.zeros((n, n), dtype=int)
+    return FinitePartialSystem(
+        elements=list(elements),
+        parthood=np.eye(n, dtype=bool),
+        order=np.eye(n, dtype=bool),
+        join=zeros,
+        meet=zeros,
+        lower=np.arange(n),
+        upper=np.arange(n),
+        bottom=0,
+        top=top,
+        granules=np.asarray(granules, dtype=bool),
+    )
+
+
+class TestEggsInputs:
+    def test_element_outside_top_is_refused(self):
+        op, calls = counting(identity_operator())
+        sys_ = table_system([frozenset(), frozenset({1}), frozenset({2})], 1, [True, True, True])
+        with pytest.raises(StructureError, match=r"element \{2\} is not a subset of top"):
+            check_eggs(sys_, op)
+        assert calls == []
+
+    def test_abstract_element_after_a_g1_mismatch_is_refused(self):
+        # the empty set is a fixed point left unflagged, so G1 fails at the first element
+        sys_ = table_system([frozenset(), frozenset({1}), "a"], 1, [False, True, True])
+        with pytest.raises(TypeError, match="subset-valued"):
+            check_eggs(sys_, identity_operator())
+        assert oracle_check_eggs(sys_, identity_operator()) == EggsReport(False, True, False, (frozenset(),))
+
+    def test_top_past_the_limit_is_indeterminate(self):
+        op, calls = counting(identity_operator())
+        top = frozenset(range(existential.EGGS_LIMIT + 1))
+        report = check_eggs(table_system([frozenset(), top], 1, [True, True]), op)
+        assert report == EggsReport(None, None, True) and calls == []
+
+    def test_eighteen_elements_in_bounded_memory(self):
+        top = frozenset(range(18))
+        sys_ = table_system([frozenset(), frozenset({3, 17}), top], 2, [True, False, True])
+        tracemalloc.start()
+        try:
+            report = check_eggs(sys_, identity_operator())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report == EggsReport(False, True, False, (frozenset({3, 17}),))
+        assert peak < 8 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# the seed enumerations that decided existential granules and EGGS before the
+# fixed-point test, kept as the oracle
+
+
+def oracle_unions(parts):
+    out = [frozenset()]
+    for part in parts:
+        out += [u | part for u in out]
+    return out
+
+
+def oracle_is_existential_granule(g, op, universe, *, seeds=None):
+    """Iterate every seed (every subset of G, G first, when none are given) and look for one that stops at G."""
+    g = frozenset(g)
+    limit = max(len(universe), 1) + 1
+    if seeds is None:
+        candidates = [g] + oracle_unions([{el} for el in sorted(g)])[:-1]
+    else:
+        candidates = [frozenset(s) for s in seeds]
+    for e in candidates:
+        if not e <= g:
+            continue
+        try:
+            _, limit_set = iterate_to_fixpoint(op, e, limit)
+        except DivergenceError:
+            continue
+        if limit_set == g:
+            return True
+    return False
+
+
+def oracle_check_eggs(sys_, op):
+    """Collect the stabilized image of every subset of top, then compare the flags with membership."""
+    base = sys_.elements[sys_.top]
+    if not isinstance(base, frozenset):
+        raise TypeError("eggs checking needs subset-valued universe elements")
+    if 2 ** len(base) > 2**20:
+        return EggsReport(g1=None, g2=None, indeterminate=True)
+    images = set()
+    for e in oracle_unions([{m} for m in sorted(base)]):
+        try:
+            _, stable = iterate_to_fixpoint(op, e, len(base) + 1)
+        except DivergenceError:
+            return EggsReport(g1=None, g2=False, indeterminate=False, witness=(e,))
+        images.add(stable)
+    for i, el in enumerate(sys_.elements):
+        if not isinstance(el, frozenset):
+            raise TypeError("eggs checking needs subset-valued universe elements")
+        if bool(sys_.granules[i]) != (el in images):
+            return EggsReport(g1=False, g2=True, indeterminate=False, witness=(el,))
+    return EggsReport(g1=True, g2=True, indeterminate=False)
+
+
+OPERATOR_KINDS = ("arbitrary", "extensive", "shrinking", "escaping")
+
+
+def table_operator(rng, n, kind):
+    """A random operator on the subsets of range(n), as a lookup table; half its inputs map to themselves.
+
+    An extensive image contains its input and a shrinking one lies inside it; an escaping operator also
+    acts on the subsets of range(n + 1), so its images may leave range(n)."""
+    domain = n + (kind == "escaping")
+    subsets = oracle_unions([{el} for el in range(domain)])
+    table = {}
+    for e in subsets:
+        image = e if rng.random() < 0.5 else subsets[rng.integers(len(subsets))]
+        table[e] = image | e if kind == "extensive" else image & e if kind == "shrinking" else image
+    return GranuleOperator(f"{kind}-table", table.__getitem__), subsets
+
+
+def random_subsets(rng, subsets, size):
+    return [subsets[i] for i in rng.integers(len(subsets), size=size)]
+
+
+class TestFixedPointOracle:
+    def test_equals_the_seed_enumeration_on_table_operators(self):
+        rng = np.random.default_rng(32)
+        systems = {n: build_set_hgos(range(n), [[el] for el in range(n)]) for n in range(6)}
+        tally = {}
+        for kind in OPERATOR_KINDS:
+            for n in range(6):
+                for _ in range(125):
+                    op, subsets = table_operator(rng, n, kind)
+                    fixed = [e for e in subsets if op(e) == e]
+                    sys_ = replace(systems[n], granules=[op(el) == el for el in systems[n].elements])
+                    if rng.random() < 0.5:
+                        sys_.granules[rng.integers(sys_.n)] ^= True
+                    got, want = check_eggs(sys_, op), oracle_check_eggs(sys_, op)
+                    assert got == want, (kind, n, sys_.granules)
+                    tally[kind, "eggs", got.g1, got.g2] = tally.get((kind, "eggs", got.g1, got.g2), 0) + 1
+                    for g in random_subsets(rng, subsets, 1) + random_subsets(rng, fixed or subsets, 1):
+                        universe = range(rng.integers(len(subsets).bit_length() + 1))
+                        seeds = random_subsets(rng, subsets, rng.integers(4)) + [g] * int(rng.random() < 0.3)
+                        for s in (None, seeds):
+                            got = is_existential_granule(g, op, universe, seeds=s)
+                            assert got == oracle_is_existential_granule(g, op, universe, seeds=s), (kind, g, s)
+                            tally[kind, s is None, got] = tally.get((kind, s is None, got), 0) + 1
+        assert sum(v for k, v in tally.items() if k[1] == "eggs") == 3000
+        for kind in OPERATOR_KINDS:
+            for seeded in (True, False):
+                assert tally[kind, seeded, True] > 100 and tally[kind, seeded, False] > 100, (kind, seeded)
+            assert tally[kind, "eggs", True, True] > 100 and tally[kind, "eggs", False, True] > 100, kind
+        for kind in ("arbitrary", "escaping"):
+            assert tally[kind, "eggs", None, False] > 50, kind
+
+    def test_ball_refinement_equals_two_distance_calls(self):
+        def two_calls(ds, fn, e):
+            idx = np.array(sorted(e), dtype=int)
+            pts = ds.points[idx]
+            center = pts.mean(axis=0)
+            radius = float(metrics.row_distances(fn, pts, center).max())
+            return frozenset(np.flatnonzero(metrics.row_distances(fn, ds.points, center) <= radius).tolist())
+
+        rng = np.random.default_rng(7)
+        fns = (metrics.euclidean(), metrics.squared_euclidean(), metrics.manhattan(), metrics.chebyshev())
+        for d in (1, 2, 3, 8, 9, 11):
+            for scale in (1e-6, 1.0, 1e8):
+                lattice = np.indices((3,) * min(d, 3)).reshape(min(d, 3), -1).T
+                points = np.concatenate([rng.normal(size=(20, d)), np.pad(lattice, ((0, 0), (0, d - min(d, 3))))])
+                ds = Dataset(points * scale)
+                for fn in fns:
+                    op = ball_refinement_operator(ds, fn)
+                    for size in (1, 2, 3, 5, 12):
+                        e = frozenset(rng.choice(ds.n, size=size, replace=False).tolist())
+                        assert op(e) == two_calls(ds, fn, e), (d, scale, fn.name, e)
 
 
 class TestSystemFiles:

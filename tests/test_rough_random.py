@@ -316,9 +316,10 @@ class TestMaskTable:
     @pytest.mark.parametrize("limit", [12, 1])
     def test_repeated_universe_elements_are_refused(self, limit, monkeypatch):
         monkeypatch.setattr(rough_random, "EXHAUSTIVE_LIMIT", limit)
-        for space in (pawlak_space([1, 1, 2], [[1], [2]]), identity_space([1, 1, 2])):
-            with pytest.raises(ValueError, match="repeated"):
-                check_approx_axioms(space)
+        with pytest.raises(ValueError, match="repeated"):
+            pawlak_space([1, 1, 2], [[1], [2]])  # refused when built
+        with pytest.raises(ValueError, match="repeated"):
+            check_approx_axioms(identity_space([1, 1, 2]))
 
 
 class TestApproximationSet:
