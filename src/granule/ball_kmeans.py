@@ -207,23 +207,34 @@ def _init_assignments(x: np.ndarray, k: int, seed: int, init: Init) -> np.ndarra
 
 
 def _plus_plus(x: np.ndarray, k: int, rng: np.random.Generator) -> tuple[list[int], np.ndarray]:
-    """k-means++ seeds (squared Euclidean) and each point's first nearest seed."""
+    """k-means++ seeds (squared Euclidean, whatever the configured distance) and each point's first nearest seed:
+    those of ``rng.choice`` on ``_sqeuclidean_rows``, since ``_draw`` is choice's draw and ``against`` its rows."""
     n = x.shape[0]
+    sq = _sqeuclidean_rows.against(x)
     chosen = [int(rng.integers(n))]
-    d2 = _sqeuclidean_rows(x, x[chosen[0]])
+    d2 = sq(x[chosen[0]])
     nearest = np.zeros(n, dtype=int)
     for j in range(1, k):
         total = float(d2.sum())
+        if not np.isfinite(total):
+            raise ConfigError(f"k-means++ squared distances overflow float64 (sum {total}); rescale the data")
         if total > 0.0:
-            nxt = int(rng.choice(n, p=d2 / total))
+            nxt = _draw(d2, total, rng)
         else:
             nxt = int(np.setdiff1d(np.arange(n), np.array(chosen))[0])
         chosen.append(nxt)
-        col = _sqeuclidean_rows(x, x[nxt])
+        col = sq(x[nxt])
         closer = col < d2  # strict: the first minimum wins, as with argmin
         nearest[closer] = j
         d2 = np.minimum(d2, col)
     return chosen, nearest
+
+
+def _draw(weights: np.ndarray, total: float, rng: np.random.Generator) -> int:
+    """``rng.choice(len(weights), p=weights / total)`` less its checks: the same cdf, uniform and searchsorted."""
+    cdf = np.cumsum(weights / total)
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 def _groups(labels: np.ndarray, k: int) -> tuple[np.ndarray, list]:
@@ -234,12 +245,16 @@ def _groups(labels: np.ndarray, k: int) -> tuple[np.ndarray, list]:
 
 
 def _centers_of(x: np.ndarray, assign: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, list]:
-    """Member means of the k clusters, plus the member grouping of ``_groups``."""
+    """Member means of the k clusters, plus the member grouping of ``_groups``: ``mean(axis=0)`` bit for bit, as numpy
+    sums an (m, d > 1) cluster down axis 0 in member order from +0.0, like ``np.add.at``, and a d = 1 slice pairwise."""
     order, bounds = _groups(assign, k)
-    xs = np.take(x, order, axis=0)
-    segments = zip(bounds, bounds[1:])
-    centers = np.stack([xs[a:b].sum(axis=0) / (b - a) for a, b in segments])  # = mean, bit for bit
-    return centers, order, bounds
+    if x.shape[1] == 1:
+        xs = np.take(x, order, axis=0)
+        return np.stack([xs[a:b].sum(axis=0) / (b - a) for a, b in zip(bounds, bounds[1:])]), order, bounds
+    sums = np.zeros((k, x.shape[1]))
+    for j in range(x.shape[1]):
+        np.add.at(sums[:, j], assign, x[:, j])
+    return sums / np.diff(bounds)[:, None], order, bounds
 
 
 def _repair_empty(assign: np.ndarray, k: int, donor_dists, stats: RunStats, groups: int = 1) -> np.ndarray:

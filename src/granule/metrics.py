@@ -108,7 +108,7 @@ def _row_reduce(ufunc: np.ufunc, t: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class _Kernel:
     """A named row kernel: ``reduce`` over the per-coordinate ``term`` (a ufunc-like with ``out=``) of m - v,
-    then ``finish``.  Called, it is the ``rows`` of its distance; ``pairs`` builds all-pairs blocks."""
+    then ``finish``.  Called, it is the ``rows`` of its distance; ``pairs`` and ``against`` work coordinate-major."""
 
     term: Callable
     reduce: np.ufunc
@@ -118,6 +118,19 @@ class _Kernel:
         t = m - v  # a float64 difference takes its term in place: no second (m, d) array
         r = _row_reduce(self.reduce, self.term(t, out=t if t.dtype == np.float64 else None))
         return r if self.finish is None else self.finish(r)
+
+    def against(self, x: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        """``v -> self(x, v)``, bit for bit: for float64 rows of 1-8 coordinates it folds the same columns, from
+        one coordinate-major copy of x taken once."""
+        if x.dtype != np.float64 or not 1 <= x.shape[1] <= 8:
+            return lambda v: self(x, v)
+        cols = np.ascontiguousarray(x.T)
+        return lambda v: self._columns(cols - v[:, None])
+
+    def _columns(self, t: np.ndarray) -> np.ndarray:
+        """The distances of the coordinate-major float64 differences ``t`` (d, ...), worked out in t."""
+        acc = _fold(self.reduce, list(self.term(t, out=t)), out=t[0])
+        return acc if self.finish is None else self.finish(acc, out=acc)
 
     def pairs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """The (len(a), len(b)) matrix of ``self(a_i, b_j)``, bit for bit, for float64 rows of 1-8 coordinates.
@@ -130,11 +143,7 @@ class _Kernel:
         for rows in blocks:
             t = buf[:, :, : len(out[rows])]
             np.subtract(np.ascontiguousarray(a[rows].T)[:, None, :], bt, out=t)
-            self.term(t, out=t)
-            acc = _fold(self.reduce, list(t), out=t[0])
-            if self.finish is not None:
-                self.finish(acc, out=acc)
-            out[rows] = acc.T
+            out[rows] = self._columns(t).T
         return out
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import json
 
@@ -16,8 +17,10 @@ from granule.ball_kmeans import (
     _annulus_labels,
     _annulus_pass,
     _center_pairs,
+    _centers_of,
     _cluster_groups,
     _Counter,
+    _draw,
     _pair_tables,
     _repair_empty,
     init_clusters,
@@ -81,6 +84,27 @@ def annulus_labels(d, neighbor_dists, radius):
     return bounds, _annulus_labels(np.asarray(d, dtype=float), rows, bounds.size, radius)
 
 
+def digest_corpus():
+    """240 seeded (dataset, config) cases over d 1-11: blobs, lattices at scales 1, 0.1 and 1e8, scales
+    1e-6..1e6 and duplicate points, with both inits and three distances."""
+    for i in range(240):
+        rng = np.random.default_rng(i)
+        d, n = int(rng.integers(1, 12)), int(rng.integers(5, 160))
+        kind = i % 6
+        if kind == 0:
+            x = make_blobs(n, d, int(rng.integers(1, 6)), seed=i)
+        elif kind < 4:
+            x = rng.integers(0, 4, (n, d)) * (1.0, 0.1, 1e8)[kind - 1]
+        elif kind == 4:
+            x = rng.normal(0, 1, (n, d)) * 10.0 ** float(rng.integers(-6, 7))
+        else:
+            base = rng.normal(0, 1, (max(2, n // 5), d))
+            x = base[rng.integers(0, len(base), n)]
+        init = (Init.RANDOM_PARTITION, Init.PLUS_PLUS)[i % 2]
+        fn = (euclidean, manhattan, chebyshev)[i % 5 % 3]()
+        yield Dataset(x), BkmConfig(k=int(rng.integers(1, min(n, 12) + 1)), seed=i, init=init, distance=fn)
+
+
 def both_runs(ds, cfg):
     """The clusterings of ``run`` and ``lloyd_run``."""
     return run(ds, cfg)[0], lloyd_run(ds, cfg)[0]
@@ -138,6 +162,34 @@ class TestInit:
         sets = init_clusters(ds, BkmConfig(k=3, seed=0, init=Init.PLUS_PLUS))
         assert all(len(s) > 0 for s in sets)
 
+    def test_draw_is_rng_choice(self):
+        # pins _draw to Generator.choice(n, p=p): a numpy whose choice draws otherwise fails here
+        rng = np.random.default_rng(34)
+        for case in range(3000):
+            n = int(rng.integers(1, 5001)) if case % 2 else int(rng.integers(1, 30))
+            w = rng.random(n) * 10.0 ** rng.uniform(-5, 5)
+            if case % 4 == 1:  # mostly zeros
+                w[rng.random(n) < 0.8] = 0.0
+                w[rng.integers(n)] = 1.0
+            elif case % 4 == 2:  # one nonzero entry
+                w = np.zeros(n)
+                w[rng.integers(n)] = rng.uniform(0.1, 10.0)
+            elif case % 4 == 3:  # equal weights
+                w = np.full(n, 2.5)
+            total = float(w.sum())
+            ours, theirs = np.random.default_rng(case), np.random.default_rng(case)
+            assert _draw(w, total, ours) == theirs.choice(n, p=w / total), case
+            assert ours.random() == theirs.random()  # the same generator state consumed
+
+    def test_plus_plus_refuses_overflowing_distances(self):
+        # the squared distances overflow to inf; a draw from that cdf of nans would go on quietly
+        ds = Dataset(np.random.default_rng(0).normal(0, 1, (200, 3)) * 1e160)
+        cfg = BkmConfig(k=3, init=Init.PLUS_PLUS)
+        with np.errstate(over="ignore"):
+            for fn in (run, lloyd_run):
+                with pytest.raises(ConfigError, match="k-means\\+\\+ squared distances overflow float64"):
+                    fn(ds, cfg)
+
     def test_invalid_config(self):
         with pytest.raises(ConfigError):
             BkmConfig(k=0)
@@ -161,6 +213,32 @@ class TestInit:
         cfg = BkmConfig(k=np.int64(3), max_iter=5.0, seed=np.uint32(7))
         assert (cfg.k, cfg.max_iter, cfg.seed) == (3, 5, 7)
         assert [type(v) for v in (cfg.k, cfg.max_iter, cfg.seed)] == [int] * 3
+
+
+class TestCenters:
+    def test_centers_are_member_means_bit_for_bit(self):
+        # pins the sums of numpy's mean: down axis 0 in member order from +0.0 for d > 1, pairwise for d = 1
+        rng = np.random.default_rng(34)
+        for case in range(360):
+            d, kind = case % 12 + 1, case // 12 % 5
+            n = int(rng.integers(1, 1500))
+            k = min(n, 300) if case % 7 == 0 else int(rng.integers(1, min(n, 300) + 1))
+            if kind == 0:
+                x = rng.normal(0, 1, (n, d)) * 10.0 ** rng.uniform(-8, 8)
+            elif kind == 1:
+                x = rng.integers(-3, 4, (n, d)) * 0.1
+            elif kind == 2:  # signed zeros: a cluster of -0.0 coordinates has mean +0.0
+                x = np.where(rng.random((n, d)) < 0.9, -0.0, rng.choice([0.0, 1.5, -2.25], (n, d)))
+            elif kind == 3:
+                base = rng.normal(0, 1e8, (max(1, n // 10), d))
+                x = base[rng.integers(0, len(base), n)]
+            else:
+                x = rng.integers(0, 3, (n, d)) * 10.0 ** float(rng.integers(-8, 9))
+            assign = rng.permutation(np.concatenate([np.arange(k), rng.integers(0, k, n - k)]))
+            centers, order, bounds = _centers_of(x, assign, k)
+            members = [np.flatnonzero(assign == j) for j in range(k)]
+            assert centers.tobytes() == np.stack([x[m].mean(axis=0) for m in members]).tobytes(), case
+            assert all(np.array_equal(order[bounds[j] : bounds[j + 1]], m) for j, m in enumerate(members))
 
 
 class TestGeometry:
@@ -325,6 +403,17 @@ class TestAnnulusPass:
 
 
 class TestRun:
+    def test_outputs_digest_pinned(self):
+        # histories, centers, radii, ties and counts of run and lloyd_run over the corpus, recorded with
+        # rng.choice draws and per-cluster slice sums, which _draw and _centers_of must reproduce
+        h = hashlib.sha256()
+        for ds, cfg in digest_corpus():
+            for fn in (run, lloyd_run):
+                c, s = fn(ds, cfg, record_history=True)
+                h.update(np.array(c.history, dtype=np.int64).tobytes() + c.centers.tobytes() + c.radii.tobytes())
+                h.update(repr((c.ties, c.converged, s.iterations, s.distance_computations)).encode())
+        assert h.hexdigest() == "d97a5dd580b6cdbe46b54499418e93a56bb0bd9ba8a2c1442333a76b0a2de31c"
+
     def test_k1_single_iteration(self):
         ds = Dataset(make_blobs(30, 2, 2, seed=1))
         clustering, stats = run(ds, BkmConfig(k=1, seed=0))

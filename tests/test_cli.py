@@ -658,6 +658,15 @@ class TestFlagRefusals:
         assert main(["verify-axioms", "--system", str(path)]) == EXIT_INGEST
         assert f"cannot decode {path}" in capsys.readouterr().err
 
+    def test_plus_plus_overflow_is_usage_error(self, tmp_path, capsys):
+        x = np.random.default_rng(0).normal(0, 1, (200, 3)) * 1e160  # squared distances overflow to inf
+        path = write_csv(tmp_path / "big.csv", [[f"{v:.17g}" for v in row] for row in x])
+        out = tmp_path / "c.json"
+        with np.errstate(over="ignore"):
+            assert main(["cluster", "--input", path, "--k", "3", "--init", "plusplus", "--out", str(out)]) == EXIT_USAGE
+        assert "k-means++ squared distances overflow float64" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_repeats_refused(self, blob_csv, tmp_path):
         out = tmp_path / "b.json"
         args = ["bench", "--input", blob_csv, "--labels", "class", "--k", "2", "--out", str(out)]

@@ -274,6 +274,20 @@ class TestRowKernels:
         ints = np.arange(-12, 12).reshape(4, 6)
         assert metrics._row_reduce(ufunc, ints).tobytes() == ufunc.reduce(ints, axis=1).tobytes()
 
+    @pytest.mark.parametrize("name", sorted(NAMED_DISTANCES))
+    def test_against_is_rows_bit_for_bit(self, name):
+        # k-means++ takes its squared distances this way: one coordinate-major copy of x, then one fold per v
+        kernel = NAMED_DISTANCES[name]().rows
+        rng = np.random.default_rng(34)
+        for d in range(1, 13):
+            for scale in (1e-8, 1.0, 1e8):
+                x = rng.normal(0, scale, (300, d))
+                x[:20] = x[20]  # duplicate points: zero distances
+                x[30:40, 0] = -0.0
+                rows = kernel.against(x)
+                for v in (x[0], x[35], x[299], rng.normal(0, scale, d)):
+                    assert rows(v).tobytes() == kernel(x, v).tobytes(), (d, scale)
+
     def test_named_kernels_reduce_through_row_reduce(self, monkeypatch):
         seen = []
         real = metrics._row_reduce
