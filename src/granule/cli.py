@@ -19,7 +19,7 @@ import json
 import math
 import sys
 import time
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -90,13 +90,10 @@ def _read(path: str) -> bytes:
         raise IngestionError(f"cannot read {path}: {exc}") from exc
 
 
-def _lines(path: str, data: bytes, newline: Optional[str] = None) -> Iterator[str]:
-    """Lines decoded with the default encoding `open` uses; newline as for `open`.
-
-    Bytes that do not decode are an ingestion error naming the file.
-    """
+def _decode(path: str, data: bytes, newline: Optional[str] = None) -> str:
+    """`data` decoded as `open` decodes by default; undecodable bytes are an ingestion error."""
     try:
-        yield from io.TextIOWrapper(io.BytesIO(data), newline=newline)
+        return io.TextIOWrapper(io.BytesIO(data), newline=newline).read()
     except UnicodeDecodeError as exc:
         raise IngestionError(f"cannot decode {path}: {exc}") from exc
 
@@ -118,28 +115,68 @@ def load_csv(path: str, label_column: Optional[str] = None) -> tuple[LabeledData
     """Read numeric feature rows with an optional label column.
 
     Returns the dataset and the sha256 hex digest of the file, which is read
-    once, so the digest names exactly the bytes parsed.  Blank lines are
-    skipped.  The first other row is a header iff any of its cells fails to
-    parse as a number.  A label column may be named (needs a header) or
-    given as an index; empty label cells mean unlabeled.  Labels are read as
-    integers when every present label is an optional '-' followed by decimal
-    digits, and are otherwise encoded by their lexicographic rank.  A ragged
-    row, or a non-numeric or non-finite feature cell, is an error naming the
-    row by the file line on which it ends.
+    once, so the digest names exactly the bytes parsed.  A leading U+FEFF is
+    dropped and blank lines are skipped.  The first other row is a header
+    iff any of its cells fails to parse as a number.  A label column may be
+    named (needs a header) or given as an index; empty label cells mean
+    unlabeled.  Labels are read as integers when every present label is an
+    optional '-' followed by decimal digits, and are otherwise encoded by
+    their lexicographic rank.  A ragged row, a non-numeric or non-finite
+    feature cell, or a cell past `csv.field_size_limit()`, is an error
+    naming the row by the file line on which it ends.  The csv row loop
+    `_parse_rows` gives the result wherever `_parse_whole` could differ.
     """
     data = _read(path)
-    reader = csv.reader(_lines(path, data, newline=""))
+    text = _decode(path, data, newline="").removeprefix("\ufeff")
+    features, raw, _, _ = _parse_whole(text, label_column) or _parse_rows(path, text, label_column)
+    labels: list[Optional[int]] = [None] * len(features)
+    if raw is not None:
+        present = sorted({lab for lab in raw if lab})
+        as_int = all(_is_int(lab) for lab in present)
+        codes = {lab: int(lab) if as_int else code for code, lab in enumerate(present)}
+        labels = [codes.get(lab) for lab in raw]
+    return LabeledDataset.build(features, labels), _digest_bytes(data)
+
+
+def _parse_whole(text: str, label_column: Optional[str]):
+    """`_parse_rows`' result by one `np.loadtxt` call, or None wherever the two may differ.
+
+    Without quotes, NULs (csv refuses them before Python 3.11) or bare CRs, a csv row is its
+    line split at commas; `float()` reads each cell that `loadtxt` reads to the same double.
+    """
+    text = text.replace("\r\n", "\n")
+    lines = list(filter(None, text.split("\n")))
+    if any(c in text for c in '"\0\r') or max(map(len, lines), default=0) > csv.field_size_limit():
+        return None
+    try:  # the header and label column from the loop over the first two lines
+        _, _, has_header, label_idx = _parse_rows("", "\n".join(lines[:2]), label_column)
+        rows, width = lines[has_header:], lines[has_header].count(",") + 1
+        cols = None if label_idx is None else [c for c in range(width) if c != label_idx]
+        features = np.loadtxt(rows, delimiter=",", comments=None, dtype=float, ndmin=2, usecols=cols)
+    except ValueError:  # an IngestionError, or a cell loadtxt refuses, such as a blank one
+        return None
+    if not np.isfinite(features).all() or label_idx is not None and any(r.count(",") != width - 1 for r in rows):
+        return None
+    raw = None if label_idx is None else [r.split(",")[label_idx].strip() for r in rows]
+    return features, raw, has_header, label_idx
+
+
+def _parse_rows(path: str, text: str, label_column: Optional[str]):
+    """(features, raw labels or None, whether a header row, label index) by the csv row loop."""
+    reader = csv.reader(io.StringIO(text, newline=""))
     rows, lines = [], []
-    for row in reader:
-        if any(cell.strip() for cell in row):
-            rows.append(row)
-            lines.append(reader.line_num)
+    try:
+        for row in reader:
+            if any(cell.strip() for cell in row):
+                rows.append(row)
+                lines.append(reader.line_num)
+    except csv.Error as exc:
+        raise IngestionError(f"row {reader.line_num}: {exc}") from exc
     if not rows:
         raise IngestionError(f"{path}: empty input")
     has_header = not all(_is_number(c) for c in rows[0])
     header = [c.strip() for c in rows[0]] if has_header else None
-    if has_header:
-        rows, lines = rows[1:], lines[1:]
+    rows, lines = rows[has_header:], lines[has_header:]
     if not rows:
         raise IngestionError(f"{path}: no data rows")
     width = len(rows[0])
@@ -167,15 +204,8 @@ def load_csv(path: str, label_column: Optional[str] = None) -> tuple[LabeledData
         features = None
     if features is None or not np.isfinite(features).all() or len(set(map(len, rows))) > 1:
         raise _first_bad_row(rows, lines, width, label_idx)
-
-    labels: list[Optional[int]] = [None] * len(rows)
-    if label_idx is not None:
-        raw = [row[label_idx].strip() for row in rows]
-        present = sorted({lab for lab in raw if lab})
-        as_int = all(_is_int(lab) for lab in present)
-        codes = {lab: int(lab) if as_int else code for code, lab in enumerate(present)}
-        labels = [codes.get(lab) for lab in raw]
-    return LabeledDataset.build(features, labels), _digest_bytes(data)
+    raw = None if label_idx is None else [row[label_idx].strip() for row in rows]
+    return features, raw, has_header, label_idx
 
 
 def _first_bad_row(rows, lines, width, label_idx) -> IngestionError:
@@ -475,7 +505,7 @@ def _parse_partition(universe: str, partition: str):
 def _cmd_verify_axioms(args) -> int:
     suite = AxiomSuite.named(args.suite)
     if args.system:
-        text = "".join(_lines(args.system, _read(args.system)))
+        text = _decode(args.system, _read(args.system))
         system = parse_system_file(text)
         digest = _digest_bytes(text.encode())
         source = {"system": args.system}

@@ -5,7 +5,9 @@ import hashlib
 import io
 import json
 import os
+import math
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -273,6 +275,175 @@ def ingest_outcome(loader, path, label):
     return (pts.shape, pts.tobytes(), ds.labels)
 
 
+def parent_load_csv(path: str, label_column: Optional[str] = None) -> LabeledDataset:
+    """Reference: the csv row loop `load_csv` ran on every file before the whole-file parse.
+
+    Copied from it with two changes only: one leading U+FEFF is dropped from
+    the decoded text, and a csv error is an ingestion error naming its line.
+    """
+    with open(path, "rb") as fh:
+        text = io.TextIOWrapper(io.BytesIO(fh.read()), newline="").read().removeprefix("\ufeff")
+    reader = csv.reader(io.StringIO(text, newline=""))
+    rows, lines = [], []
+    try:
+        for row in reader:
+            if any(cell.strip() for cell in row):
+                rows.append(row)
+                lines.append(reader.line_num)
+    except csv.Error as exc:
+        raise IngestionError(f"row {reader.line_num}: {exc}") from exc
+    if not rows:
+        raise IngestionError(f"{path}: empty input")
+
+    def is_number(cell: str) -> bool:
+        try:
+            float(cell)
+            return True
+        except ValueError:
+            return False
+
+    def is_int(text: str) -> bool:
+        return text.removeprefix("-").isdecimal()
+
+    has_header = not all(is_number(c) for c in rows[0])
+    header = [c.strip() for c in rows[0]] if has_header else None
+    if has_header:
+        rows, lines = rows[1:], lines[1:]
+    if not rows:
+        raise IngestionError(f"{path}: no data rows")
+    width = len(rows[0])
+
+    label_idx: Optional[int] = None
+    if label_column is not None:
+        if is_int(label_column):
+            label_idx = int(label_column)
+            if not (0 <= label_idx < width):
+                raise IngestionError(f"label column index {label_idx} out of range")
+        else:
+            if header is None:
+                raise IngestionError("named label column requires a header row")
+            if label_column not in header:
+                raise IngestionError(f"label column {label_column!r} not in header {header}")
+            label_idx = header.index(label_column)
+        if width == 1:
+            raise IngestionError(f"row {lines[0]}: no feature columns left")
+
+    cells = rows if label_idx is None else [r[:label_idx] + r[label_idx + 1 :] for r in rows]
+    try:
+        features = np.array(cells, dtype=float)
+    except ValueError:
+        features = None
+    if features is None or not np.isfinite(features).all() or len(set(map(len, rows))) > 1:
+        for line, row in zip(lines, rows):
+            if len(row) != width:
+                raise IngestionError(f"row {line}: expected {width} cells, got {len(row)}")
+            for cno, cell in enumerate(row):
+                if cno == label_idx:
+                    continue
+                cell = cell.strip()
+                if not is_number(cell):
+                    raise IngestionError(f"row {line}: non-numeric feature {cell!r} in column {cno}")
+                if not math.isfinite(float(cell)):
+                    raise IngestionError(f"row {line}: non-finite feature {cell!r} in column {cno}")
+
+    labels: list[Optional[int]] = [None] * len(rows)
+    if label_idx is not None:
+        raw = [row[label_idx].strip() for row in rows]
+        present = sorted({lab for lab in raw if lab})
+        as_int = all(is_int(lab) for lab in present)
+        codes = {lab: int(lab) if as_int else code for code, lab in enumerate(present)}
+        labels = [codes.get(lab) for lab in raw]
+    return LabeledDataset.build(features, labels)
+
+
+BOM = b"\xef\xbb\xbf"
+DECODES_BOM = io.TextIOWrapper(io.BytesIO(BOM)).read() == "\ufeff"
+# cells that float() reads and np.loadtxt refuses, or that only look odd
+ODD_CELLS = ("1_0", "１", "٣", "٣.5", "\u20032", "1\x0c", "+.5", "-0", "5.", "1E3", "0.1e-2")
+BLANK_LINES = ("  ", "\t", ",", ",,", " , ")
+
+
+def plain_number(rng: random.Random) -> str:
+    value = round(rng.uniform(-50, 50), rng.randint(0, 17))
+    return rng.choice((repr(value), f"{value:.17g}", f" {value}", f"{value:.3e}", str(int(value))))
+
+
+def hostile_case(seed: int):
+    """One seeded CSV file of plain cells with up to three loadtxt-hostile changes.
+
+    Returns its bytes and the --labels value.  The changes: quoted cells, bare
+    CR or CRLF line ends, '#' lines, cells such as `1_0`, `１` and `٣`,
+    whitespace-only, comma-only, empty and trailing-comma lines, NUL bytes, a
+    BOM; files have one or more columns and rows, and the label column, if
+    any, is first, middle or last.
+    """
+    rng = random.Random(10_000 + seed)
+    n_feat, n_rows = rng.randint(1, 3), rng.choice((1, 1, 2, 3, 5))
+    label_pos = rng.choice((None, 0, n_feat // 2, n_feat))
+    header = [f"f{c}" for c in range(n_feat)]
+    rows = [[plain_number(rng) for _ in range(n_feat)] for _ in range(n_rows)]
+    if label_pos is not None:
+        header.insert(label_pos, "class")
+        kind = rng.choice(("int", "str"))
+        for row in rows:
+            row.insert(label_pos, corpus_label(rng, kind))
+    if rng.random() < 0.5:
+        rows.insert(0, header)
+    changes = rng.sample(("quote", "cr", "crlf", "hash", "odd", "blank", "empty", "trailing", "nul", "bom"),
+                         rng.randint(0, 3))
+    if "odd" in changes:
+        row = rng.choice(rows)
+        cols = [c for c in range(len(row)) if c != label_pos]
+        row[rng.choice(cols)] = rng.choice(ODD_CELLS)
+    if "nul" in changes:
+        row = rng.choice(rows)
+        c = rng.randrange(len(row))
+        row[c] = row[c] + "\0"
+    if "trailing" in changes:
+        for row in rows if rng.random() < 0.5 else [rng.choice(rows)]:
+            row.append("")
+    if "quote" in changes:
+        row = rng.choice(rows)
+        c = rng.randrange(len(row))
+        row[c] = f'"{row[c]}"'
+    lines = [",".join(row) for row in rows]
+    if "hash" in changes:
+        lines.insert(rng.randint(0, len(lines)), rng.choice(("# note", "#1,2", "#")))
+    if "blank" in changes:
+        lines.insert(rng.randint(0, len(lines)), rng.choice(BLANK_LINES))
+    if "empty" in changes:
+        lines.insert(rng.randint(1, len(lines)), "")
+    end = "\r" if "cr" in changes else "\r\n" if "crlf" in changes else "\n"
+    text = end.join(lines) + (end if rng.random() < 0.8 else "")
+    label = None
+    if label_pos is not None:
+        label = "class" if rows[0] == header and rng.random() < 0.5 else str(label_pos)
+    return (BOM if "bom" in changes else b"") + text.encode(), label
+
+
+PLAIN_CELL = re.compile(r" *[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)? *", re.ASCII)
+
+
+def is_clean(data: bytes, label: Optional[str], outcome) -> bool:
+    """Whether a file that loads is one the whole-file parse must serve itself.
+
+    That is: no quote, NUL or bare CR, no line that is blank without being
+    empty, and every feature cell a plain ASCII decimal.
+    """
+    if outcome[0] == "error":
+        return False
+    text = data.removeprefix(BOM).decode().replace("\r\n", "\n")
+    lines = [line.split(",") for line in text.split("\n") if line]
+    if any(c in text for c in '"\0\r') or not all(any(c.strip() for c in cells) for cells in lines):
+        return False
+    (n, d), header = outcome[0], None
+    if len(lines) == n + 1:
+        header, lines = [c.strip() for c in lines[0]], lines[1:]
+    width = len(lines[0])
+    skip = None if width == d else int(label) if label.isdigit() else header.index(label)
+    return all(PLAIN_CELL.fullmatch(c) for cells in lines for j, c in enumerate(cells) if j != skip)
+
+
 class TestLoadCsvOracle:
     def test_matches_loop_on_seeded_corpus(self, tmp_path):
         seen = {"ok": 0, "error": 0, "malformed": 0}
@@ -286,6 +457,67 @@ class TestLoadCsvOracle:
             seen["error" if expected[0] == "error" else "ok"] += 1
             seen["malformed"] += malformed
         assert seen["ok"] >= 120 and seen["error"] >= 50 and seen["malformed"] >= 60, seen
+
+    def test_fast_path_serves_every_clean_file_and_matches_both_loops(self, tmp_path, monkeypatch):
+        served = []
+        whole = cli._parse_whole
+
+        def spy(text, label_column):
+            result = whole(text, label_column)
+            served.append(result is not None)
+            return result
+
+        monkeypatch.setattr(cli, "_parse_whole", spy)
+        seen = {"clean": 0, "fast": 0, "loop": 0, "error": 0}
+        cases = [("seeded", *corpus_case(seed)[:2]) for seed in range(240)]
+        cases += [("hostile", *hostile_case(seed)) for seed in range(400)]
+        for i, (corpus, data, label) in enumerate(cases):
+            path = tmp_path / f"c{i}.csv"
+            path.write_bytes(data)
+            got = ingest_outcome(lambda p, l: load_csv(p, l)[0], str(path), label)
+            assert got == ingest_outcome(parent_load_csv, str(path), label), (corpus, data, label)
+            if corpus == "hostile":
+                # The older loop keeps a BOM, numbers rows by count rather than by file
+                # line, and tests a row's cells before the lone label column of a file.
+                path.write_bytes(data.removeprefix(BOM) if DECODES_BOM else data)
+                try:
+                    loop = ingest_outcome(loop_load_csv, str(path), label)
+                except csv.Error:  # NUL bytes before Python 3.11
+                    loop = ("error", None)
+                blank = any(not line.replace(",", "").strip() for line in data.removeprefix(BOM).decode().splitlines())
+                if "error" not in (got[0], loop[0]):
+                    assert got == loop, (data, label)
+                elif blank or loop[1] is None or not DECODES_BOM or got[1].endswith("no feature columns left"):
+                    assert got[0] == loop[0] == "error", (data, label)
+                else:
+                    assert got == loop, (data, label)
+            clean = DECODES_BOM and is_clean(data, label, got)
+            assert served[-1] or not clean, (corpus, data, label)
+            seen["clean"] += clean
+            seen["fast" if served[-1] else "loop"] += 1
+            seen["error"] += got[0] == "error"
+        assert len(served) == len(cases)
+        assert seen["clean"] >= 120 and seen["loop"] >= 300 and seen["error"] >= 150, seen
+
+    def test_loadtxt_reads_no_cell_that_float_refuses(self):
+        rng = random.Random(35)
+        alphabet = "0123456789+-.eE_ \t\x0c\x85\u2003１٣infatyINFATYxj"
+        cells = list(ODD_CELLS) + ["".join(rng.choice(alphabet) for _ in range(rng.randint(1, 6)))
+                                   for _ in range(3000)]
+        bits = np.random.default_rng(35).integers(0, 2**64, size=600, dtype=np.uint64)
+        values = [rng.choice((1e-300, 1e-5, 1.0, 1e5, 1e300)) * rng.gauss(0, 1) for _ in range(600)]
+        values += bits.view(np.float64).tolist()  # every exponent, subnormals, inf and nan
+        cells += [f"{v:.17g}" for v in values] + [repr(v) for v in values]
+        read = 0
+        for cell in cells:
+            try:
+                value = np.loadtxt([cell], delimiter=",", comments=None, dtype=float, ndmin=2)[0, 0]
+            except ValueError:
+                continue
+            read += 1
+            expected = float(cell.strip())
+            assert (np.float64(expected).tobytes() == value.tobytes()) or not np.isfinite([expected, value]).any(), cell
+        assert read >= 2500
 
 
 class TestIngestRefusals:
@@ -313,6 +545,41 @@ class TestIngestRefusals:
         assert code == EXIT_OK
         with pytest.raises(IngestionError, match="named label column requires a header row"):
             load_csv(str(path), "²")
+
+
+    @pytest.mark.skipif(not DECODES_BOM, reason="the default encoding does not decode a BOM to U+FEFF")
+    def test_bom_keeps_the_first_row_of_a_headerless_file(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(BOM + b"1.0,2\n3,4\n")
+        ds, digest = load_csv(str(path))
+        assert ds.points.points.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+
+    @pytest.mark.skipif(not DECODES_BOM, reason="the default encoding does not decode a BOM to U+FEFF")
+    def test_bom_header_names_its_first_column(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(BOM + b'class,x\r\n1,0.5\r\n0,1.5\r\n')
+        ds, _ = load_csv(str(path), "class")
+        assert ds.labels == (1, 0) and ds.points.points.tolist() == [[0.5], [1.5]]
+        path.write_bytes(BOM + b'"class",x\n1,0.5\n0,1.5\n')  # the quote sends it to the row loop
+        assert load_csv(str(path), "class")[0].labels == (1, 0)
+
+    def test_cell_past_the_csv_field_limit_names_its_line(self, tmp_path):
+        limit = csv.field_size_limit()
+        path = tmp_path / "d.csv"
+        path.write_text(f"1,2\n3,{'0' * (limit - 1)}4\n")
+        assert load_csv(str(path))[0].points.points.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        path.write_text(f"1,2\n3,4\n\n5,{'0' * limit}6\n7,8\n")
+        with pytest.raises(IngestionError, match=rf"^row 4: field larger than field limit \({limit}\)$"):
+            load_csv(str(path))
+
+    def test_cell_past_the_csv_field_limit_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "d.csv"
+        path.write_text(f"x,y\n1,2\n3,{'7' * (csv.field_size_limit() + 1)}\n")
+        out = tmp_path / "c.json"
+        assert main(["cluster", "--input", str(path), "--k", "1", "--out", str(out)]) == EXIT_INGEST
+        assert "ingestion error: row 3: field larger than field limit" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def run_to_file(args, out):
